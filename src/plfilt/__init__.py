@@ -65,13 +65,9 @@ from .models import (
 from .moments import (
     GaussianMoments,
     JointGaussian,
-    MatchScratch,
     PartiallyLinearFunction,
     match_full,
-    match_general,
     match_pl,
-    match_pl_with_scratch,
-    match_structured,
 )
 
 __version__ = "0.1.0"
@@ -87,7 +83,6 @@ __all__ = [
     "GaussianMoments",
     "InnovationDegenerateError",
     "JointGaussian",
-    "MatchScratch",
     "NotPositiveDefiniteError",
     "PartialCholesky",
     "PartiallyLinearFunction",
@@ -114,10 +109,7 @@ __all__ = [
     "make_classified",
     "make_rule",
     "match_full",
-    "match_general",
     "match_pl",
-    "match_pl_with_scratch",
-    "match_structured",
     "permute_moments",
     "pl_lrkf_step",
     "position_front_permutation",

@@ -65,7 +65,6 @@ DEFAULTS = {
     "sim.agents": "3",
     "sim.steps": "100",
     "sim.filters": "both",
-    "sim.diagnostics": "0",
     "singer.dt": "0.1",
     "singer.tau": "2.0",
     "singer.sigma_m2": "1.0",
@@ -160,7 +159,6 @@ class SimConfig:
     steps: int
     seed: int
     filters: frozenset  # subset of {"full", "pl"}; full = plain filter
-    diagnostics: bool = False
     out: str | None = None
 
     def __post_init__(self):
@@ -206,7 +204,6 @@ def sim_config_from(cfg: dict) -> SimConfig:
         steps=int(cfg["sim.steps"]),
         seed=int(cfg["seed"]),
         filters=_parse_modes(cfg["sim.filters"]),
-        diagnostics=cfg["sim.diagnostics"] not in ("0", "false", "no", ""),
         out=cfg.get("out"),
     )
 
@@ -389,9 +386,7 @@ def run_sim(cfg: SimConfig):
         y = data.measurements[k - 1]
         row = [k]
         for mode in active:
-            states[mode] = runners[mode](
-                states[mode], model, y, keep_prediction=cfg.diagnostics
-            )
+            states[mode] = runners[mode](states[mode], model, y)
             err = states[mode].mean - data.truth[k]
             var = np.diag(states[mode].cov)
             for idx in blocks:
@@ -421,7 +416,7 @@ def _spd_matrix(rng, n):
     return b @ b.T + n * np.eye(n)
 
 
-def run_validate(cfg: dict, corrupt: bool = False):
+def run_validate(cfg: dict):
     """Self-check sweep.  Returns (lines, ok); one line per check."""
     seed = int(cfg["seed"])
     lines = []
@@ -442,12 +437,7 @@ def run_validate(cfg: dict, corrupt: bool = False):
         )
 
     for x in range(1, int(cfg["validate.sc_max_dim"]) + 1):
-        rule = spherical_rule(x)
-        if corrupt and x == 3:
-            w = rule.weights.copy()
-            w[0] += 1e-6
-            rule = CubatureRule(dim=x, weights=w, points=rule.points.copy(), kind=rule.kind)
-        sweep_rule(f"sc x={x}", rule)
+        sweep_rule(f"sc x={x}", spherical_rule(x))
     alpha = float(cfg["validate.ut_alpha"])
     kappa = float(cfg["validate.ut_kappa"])
     for x in range(1, int(cfg["validate.ut_max_dim"]) + 1):
@@ -459,8 +449,6 @@ def run_validate(cfg: dict, corrupt: bool = False):
     for p in range(1, int(cfg["validate.hermite_max_order"]) + 1):
         roots, _ = hermite_1d(p)
         h_prev, h = np.ones_like(roots), roots.copy()
-        if p == 0:
-            h = h_prev
         for k in range(1, p):
             h_prev, h = h, roots * h - k * h_prev
         res = float(np.abs(h).max())

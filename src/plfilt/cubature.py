@@ -117,8 +117,6 @@ def _hermite_value(p: int, x: np.ndarray):
     via the recursion He_{k+1}(x) = x He_k(x) - k He_{k-1}(x)."""
     h_prev = np.ones_like(x)
     h = np.asarray(x, dtype=float).copy()
-    if p == 0:
-        return h_prev, np.zeros_like(x)
     for k in range(1, p):
         h_prev, h = h, x * h - k * h_prev
     return h, h_prev
@@ -237,11 +235,13 @@ class ClassifiedRule:
 
     Central points are exactly zero, linear points are zero in the leading
     ``z_dim`` coordinates only, nonlinear points perturb the leading block.
-    Within the nonlinear and linear subsets, column ``i`` and column
-    ``n/2 + i`` are exact negations carrying equal weights.
+    ``n_c``, ``n_z`` and ``n_l`` count the three subsets and ``w_cl`` is the
+    total weight of the central and linear points.  The nonlinear subset is
+    kept as ``idx_z`` (its columns in ``base``), ``w_z`` and ``xi_z``; column
+    ``i`` and column ``n_z/2 + i`` are exact negations carrying equal weights.
 
     For Gauss-Hermite grids too large to materialize the instance may be
-    "virtual": the index/weight/point arrays are ``None`` while the subset
+    "virtual": ``base`` and the nonlinear arrays are ``None`` while the subset
     counts, ``w_cl`` and the deduplicated nonlinear block (via
     :func:`unique_nonlinear`) remain available, which is all the structured
     moment-matching path needs.
@@ -255,34 +255,19 @@ class ClassifiedRule:
     n_z: int
     n_l: int
     w_cl: float
-    z_off_block_zero: bool
     base: CubatureRule | None = None
-    idx_c: np.ndarray | None = None
     idx_z: np.ndarray | None = None
-    idx_l: np.ndarray | None = None
-    w_c: np.ndarray | None = None
     w_z: np.ndarray | None = None
-    w_l: np.ndarray | None = None
-    xi_c: np.ndarray | None = None
     xi_z: np.ndarray | None = None
-    xi_l: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("idx_c", "idx_z", "idx_l", "w_c", "w_z", "w_l", "xi_c", "xi_z", "xi_l"):
-            arr = getattr(self, name)
+        for arr in (self.idx_z, self.w_z, self.xi_z):
             if arr is not None:
                 arr.flags.writeable = False
 
     @property
     def materialized(self) -> bool:
         return self.base is not None
-
-    @property
-    def z_blocks(self) -> np.ndarray:
-        """Leading ``z_dim`` rows of the nonlinear points."""
-        if self.xi_z is None:
-            raise ValueError("virtual rule has no materialized nonlinear points")
-        return self.xi_z[: self.z_dim]
 
 
 def classify(rule: CubatureRule, z: int) -> ClassifiedRule:
@@ -294,33 +279,25 @@ def classify(rule: CubatureRule, z: int) -> ClassifiedRule:
     pts = rule.points
     zero_col = ~pts.any(axis=0)
     zero_zblock = ~pts[:z].any(axis=0)
-    idx_c = np.flatnonzero(zero_col)
-    idx_l = _paired_order(pts, np.flatnonzero(zero_zblock & ~zero_col))
+    n_c = int(zero_col.sum())
+    # the linear subset is only counted, but pairing it checks that it is
+    # symmetric, which the collapsed sums of the structured path rely on
+    n_l = _paired_order(pts, np.flatnonzero(zero_zblock & ~zero_col)).size
     idx_z = _paired_order(pts, np.flatnonzero(~zero_zblock))
-    w = rule.weights
-    w_z = w[idx_z].copy()
-    w_cl = float(1.0 - w_z.sum())
-    xi_z = pts[:, idx_z].copy()
+    w_z = rule.weights[idx_z].copy()
     return ClassifiedRule(
         kind=rule.kind,
         dim=rule.dim,
         z_dim=z,
         count=rule.count,
-        n_c=idx_c.size,
+        n_c=n_c,
         n_z=idx_z.size,
-        n_l=idx_l.size,
-        w_cl=w_cl,
-        z_off_block_zero=not bool(xi_z[z:].any()),
+        n_l=n_l,
+        w_cl=float(1.0 - w_z.sum()),
         base=rule,
-        idx_c=idx_c,
         idx_z=idx_z,
-        idx_l=idx_l,
-        w_c=w[idx_c].copy(),
         w_z=w_z,
-        w_l=w[idx_l].copy(),
-        xi_c=pts[:, idx_c].copy(),
-        xi_z=xi_z,
-        xi_l=pts[:, idx_l].copy(),
+        xi_z=pts[:, idx_z].copy(),
     )
 
 
@@ -364,7 +341,6 @@ def make_classified(
         n_z=n_z,
         n_l=n_l,
         w_cl=w_cl,
-        z_off_block_zero=False,
     )
 
 
@@ -378,7 +354,6 @@ class UniqueRule:
     coordinates, so the partial Cholesky path always applies to them.
     """
 
-    parent: ClassifiedRule
     points: np.ndarray
     weights: np.ndarray
 
@@ -422,7 +397,7 @@ def unique_nonlinear(cr: ClassifiedRule) -> UniqueRule:
         sub = classify(gauss_hermite_rule(cr.z_dim, cr.kind.order), cr.z_dim)
         points = sub.xi_z.copy()
         weights = sub.w_z.copy()
-    unique = UniqueRule(parent=cr, points=points, weights=weights)
+    unique = UniqueRule(points=points, weights=weights)
     object.__setattr__(cr, "_unique_cache", unique)
     return unique
 

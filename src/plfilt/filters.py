@@ -9,6 +9,7 @@ gains ``R``.  Models with noise entering nonlinearly are out of scope.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import (
     FilterStepError,
     InnovationDegenerateError,
     NotPositiveDefiniteError,
+    PlfiltError,
 )
 from .linalg import Permutation, cholesky_full, permute_moments
 from .moments import (
@@ -26,7 +28,7 @@ from .moments import (
     JointGaussian,
     PartiallyLinearFunction,
     match_full,
-    match_structured,
+    match_pl,
 )
 
 
@@ -163,11 +165,14 @@ def _symmetrized(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
-def _check_posterior_spd(cov: np.ndarray, step: int):
+@contextmanager
+def _phase(step: int, phase: str):
+    """Report a library error raised inside one phase of a step as a
+    :class:`FilterStepError` carrying the step index and the phase."""
     try:
-        cholesky_full(cov)
-    except NotPositiveDefiniteError as exc:
-        raise FilterStepError(step, "posterior", str(exc)) from exc
+        yield
+    except PlfiltError as exc:
+        raise FilterStepError(step, phase, str(exc)) from exc
 
 
 def lrkf_step(
@@ -185,20 +190,20 @@ def lrkf_step(
     k_next = state.k + 1
     if model.flow_rule.base is None or model.meas_rule.base is None:
         raise ValueError("the unstructured filter path needs materialized rules")
-    try:
+    with _phase(k_next, "predict"):
         jt = match_full(
             model.flow_function(), state.mean, state.cov, model.flow_rule.base
         )
-        m_pred = jt.m_y
-        p_pred = _symmetrized(jt.p_yy) + model.q
+    m_pred = jt.m_y
+    p_pred = _symmetrized(jt.p_yy) + model.q
+    with _phase(k_next, "measure"):
         jm = match_full(model.measurement_function(), m_pred, p_pred, model.meas_rule.base)
-        joint = JointGaussian(
-            m_x=m_pred, m_y=jm.m_y, p_xx=p_pred, p_xy=jm.p_xy, p_yy=jm.p_yy + model.r
-        )
+    joint = JointGaussian(
+        m_x=m_pred, m_y=jm.m_y, p_xx=p_pred, p_xy=jm.p_xy, p_yy=jm.p_yy + model.r
+    )
+    with _phase(k_next, "update"):
         post = kalman_update(GaussianMoments(m_pred, p_pred), joint, y)
-    except (NotPositiveDefiniteError, InnovationDegenerateError) as exc:
-        raise FilterStepError(k_next, "update", str(exc)) from exc
-    _check_posterior_spd(post.cov, k_next)
+        cholesky_full(post.cov)  # the posterior must stay positive definite
     record = None
     if keep_prediction:
         record = PredictionRecord(m_pred, p_pred, joint.m_y, joint.p_yy, joint.p_xy)
@@ -210,13 +215,12 @@ def pl_lrkf_step(
     model: EstimationModel,
     y: np.ndarray,
     keep_prediction: bool = False,
-    use_unique: bool | None = None,
 ) -> FilterState:
     """One predict/update cycle of the structured filter.
 
     Sequence per phase: permute the moments so the nonlinear coordinates
-    lead, factorize (partially where possible), run the structured moment
-    match, then permute back.  The conditioning step runs in the
+    lead, factorize the leading columns, run the structured moment match,
+    then permute back.  The conditioning step runs in the
     measurement-permuted coordinates and its posterior is permuted back at
     the end.  On identical rules and models this reproduces
     :func:`lrkf_step` up to roundoff while evaluating only the nonlinear
@@ -225,23 +229,23 @@ def pl_lrkf_step(
     k_next = state.k + 1
     tf = model.flow_perm
     th = model.meas_perm
-    try:
-        m_bar, p_bar = permute_moments(tf, state.mean, state.cov)
-        jt = match_structured(model.flow, m_bar, p_bar, model.flow_rule, use_unique)
-        q_bar = model.q[np.ix_(tf.indices, tf.indices)]
-        p_pred_bar = _symmetrized(jt.p_yy) + q_bar
-        m_pred, p_pred = permute_moments(tf.inverse, jt.m_y, p_pred_bar)
+    m_bar, p_bar = permute_moments(tf, state.mean, state.cov)
+    with _phase(k_next, "predict"):
+        jt = match_pl(model.flow, m_bar, p_bar, model.flow_rule)
+    q_bar = model.q[np.ix_(tf.indices, tf.indices)]
+    p_pred_bar = _symmetrized(jt.p_yy) + q_bar
+    m_pred, p_pred = permute_moments(tf.inverse, jt.m_y, p_pred_bar)
 
-        m_bar, p_bar = permute_moments(th, m_pred, p_pred)
-        jm = match_structured(model.measurement, m_bar, p_bar, model.meas_rule, use_unique)
-        joint = JointGaussian(
-            m_x=m_bar, m_y=jm.m_y, p_xx=p_bar, p_xy=jm.p_xy, p_yy=jm.p_yy + model.r
-        )
+    m_bar, p_bar = permute_moments(th, m_pred, p_pred)
+    with _phase(k_next, "measure"):
+        jm = match_pl(model.measurement, m_bar, p_bar, model.meas_rule)
+    joint = JointGaussian(
+        m_x=m_bar, m_y=jm.m_y, p_xx=p_bar, p_xy=jm.p_xy, p_yy=jm.p_yy + model.r
+    )
+    with _phase(k_next, "update"):
         post_bar = kalman_update(GaussianMoments(m_bar, p_bar), joint, y)
         mean, cov = permute_moments(th.inverse, post_bar.mean, post_bar.cov)
-    except (NotPositiveDefiniteError, InnovationDegenerateError) as exc:
-        raise FilterStepError(k_next, "update", str(exc)) from exc
-    _check_posterior_spd(cov, k_next)
+        cholesky_full(cov)  # the posterior must stay positive definite
     record = None
     if keep_prediction:
         # cross covariance back in original state coordinates

@@ -56,20 +56,24 @@ def cholesky_full(p: np.ndarray) -> np.ndarray:
 class PartialCholesky:
     """First ``z_dim`` columns of a lower-triangular Cholesky factor.
 
-    ``lnn`` holds rows ``0..z_dim`` (a lower-triangular Z-by-Z block) and
-    ``lln`` the remaining rows of the same columns.
+    The (X, Z) block is stored once; ``lnn`` views its rows ``0..z_dim`` (a
+    lower-triangular Z-by-Z block) and ``lln`` the remaining rows.
     """
 
     z_dim: int
-    lnn: np.ndarray
-    lln: np.ndarray
-    _cols: np.ndarray | None = None
+    _cols: np.ndarray
+
+    @property
+    def lnn(self) -> np.ndarray:
+        return self._cols[: self.z_dim]
+
+    @property
+    def lln(self) -> np.ndarray:
+        return self._cols[self.z_dim :]
 
     def column_block(self) -> np.ndarray:
         """The stacked (X, Z) block ``[lnn; lln]``."""
-        if self._cols is not None:
-            return self._cols
-        return np.vstack((self.lnn, self.lln))
+        return self._cols
 
 
 def cholesky_partial(p: np.ndarray, z: int) -> PartialCholesky:
@@ -110,7 +114,7 @@ def cholesky_partial(p: np.ndarray, z: int) -> PartialCholesky:
             l[j + 1 :, j] = (work[j + 1 :, j] - l[j + 1 :, :j] @ lj) / ljj
         else:
             l[1:, 0] = work[1:, 0] / ljj
-    return PartialCholesky(z_dim=z, lnn=l[:z], lln=l[z:], _cols=l)
+    return PartialCholesky(z_dim=z, _cols=l)
 
 
 @dataclass(frozen=True)

@@ -5,21 +5,16 @@ Gaussian input and a function output:
 
 * :func:`match_full` runs the plain cubature sums, evaluating the function at
   every integration point.
-* :func:`match_pl` exploits the structure ``y = [g(z); A x]`` (nonlinear in
-  the leading ``z`` coordinates only): with a lower-triangular square root,
-  points that do not perturb the leading block all map to ``g`` of the input
-  z-mean, so their contributions collapse into closed form and ``g`` is only
-  evaluated at the mean plus the (deduplicated) nonlinear points.  When the
-  nonlinear points carry no trailing-coordinate component, a partial Cholesky
-  factorization of the input covariance is enough.
-
-:func:`match_general` extends the structured route to
-``y = [A1 x + g(z); A2 x]`` by matching an auxiliary stacked output and
-collapsing it afterwards.
+* :func:`match_pl` exploits the structure ``y = [A1 x + g(z); A x]``
+  (nonlinear in the leading ``z`` coordinates only, ``A1`` optional): with a
+  lower-triangular square root, points that do not perturb the leading block
+  all map to ``g`` of the input z-mean, so their contributions collapse into
+  closed form.  ``g`` is evaluated only at the mean plus the deduplicated
+  nonlinear points, and only the leading ``z`` columns of the Cholesky factor
+  of the input covariance are needed.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,42 +62,6 @@ class JointGaussian:
     def y_dim(self) -> int:
         return self.m_y.size
 
-    def validate(self, rtol: float = 1e-10):
-        """Check block shapes, symmetry of the diagonal blocks and a
-        nonnegative p_yy diagonal; raises AssertionError on violation."""
-        x, y = self.x_dim, self.y_dim
-        assert self.p_xx.shape == (x, x)
-        assert self.p_xy.shape == (x, y)
-        assert self.p_yy.shape == (y, y)
-        for block in (self.p_xx, self.p_yy):
-            scale = max(float(np.abs(block).max(initial=0.0)), 1.0)
-            assert float(np.abs(block - block.T).max(initial=0.0)) <= rtol * scale
-        assert float(np.diag(self.p_yy).min(initial=0.0)) >= -1e-12 * max(
-            float(np.abs(self.p_yy).max(initial=0.0)), 1.0
-        )
-
-
-class _EvalCounter:
-    """Thread-safe tally of nonlinear-function evaluations."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._value = 0
-
-    def add(self, n: int):
-        with self._lock:
-            self._value += n
-
-    def reset(self):
-        with self._lock:
-            self._value = 0
-
-    @property
-    def value(self) -> int:
-        return self._value
-
 
 class PartiallyLinearFunction:
     """A map ``y = [g(z); A x]`` with ``z`` the leading ``z_dim`` coordinates
@@ -112,7 +71,7 @@ class PartiallyLinearFunction:
     ``g_batch``, when provided, must evaluate ``g`` column-wise on a
     ``(z_dim, n)`` matrix; it is used to keep large point sets vectorized.
     Every conceptual evaluation of ``g`` — one per point — is tallied in
-    ``g_eval_count``, whose reads are only meaningful between operations.
+    ``g_eval_count``.
     """
 
     def __init__(
@@ -124,7 +83,6 @@ class PartiallyLinearFunction:
         a: np.ndarray,
         a1: np.ndarray | None = None,
         g_batch: Callable[[np.ndarray], np.ndarray] | None = None,
-        _counter: _EvalCounter | None = None,
     ):
         self.z_dim = int(z_dim)
         self.x_dim = int(x_dim)
@@ -142,23 +100,21 @@ class PartiallyLinearFunction:
                 )
         self.a = a
         self.a1 = a1
+        # the linear rows [A1; A] that match_pl runs its sums on, stacked once
+        self._a_stack = a if a1 is None else np.vstack((a1, a))
         self._g = g
         self._g_batch = g_batch
-        self._counter = _counter if _counter is not None else _EvalCounter()
+        self.g_eval_count = 0
 
     @property
     def y_dim(self) -> int:
         return self.g_dim + self.a.shape[0]
 
-    @property
-    def g_eval_count(self) -> int:
-        return self._counter.value
-
     def reset_g_eval_count(self):
-        self._counter.reset()
+        self.g_eval_count = 0
 
     def eval_g(self, z: np.ndarray) -> np.ndarray:
-        self._counter.add(1)
+        self.g_eval_count += 1
         out = np.asarray(self._g(np.asarray(z, dtype=float)), dtype=float)
         if out.shape != (self.g_dim,):
             raise ValueError(f"g returned shape {out.shape}, expected ({self.g_dim},)")
@@ -167,7 +123,7 @@ class PartiallyLinearFunction:
     def eval_g_batch(self, zmat: np.ndarray) -> np.ndarray:
         zmat = np.asarray(zmat, dtype=float)
         n = zmat.shape[1]
-        self._counter.add(n)
+        self.g_eval_count += n
         if self._g_batch is not None:
             out = np.asarray(self._g_batch(zmat), dtype=float)
         else:
@@ -191,18 +147,6 @@ class PartiallyLinearFunction:
         if self.a1 is not None:
             gz = gz + self.a1 @ xmat
         return np.vstack((gz, self.a @ xmat))
-
-
-@dataclass(frozen=True)
-class MatchScratch:
-    """Intermediates of the structured moment-matching sums, retained for
-    debug-mode consistency checks."""
-
-    w_cl: float
-    g_z: np.ndarray
-    u: np.ndarray
-    u_l: np.ndarray
-    c_z: np.ndarray
 
 
 _STRICT_LOWER_MASKS: dict[int, np.ndarray] = {}
@@ -252,17 +196,19 @@ def match_full(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule) -> JointGaus
     return JointGaussian(m_x=m, m_y=m_y, p_xx=np.asarray(p, dtype=float), p_xy=p_xy, p_yy=p_yy)
 
 
-def _match_pl_impl(
+def match_pl(
     plf: PartiallyLinearFunction,
     m: np.ndarray,
     p: np.ndarray,
     cr: ClassifiedRule,
-    use_unique: bool | None,
-    debug: bool,
-    want_scratch: bool = False,
-):
-    if plf.a1 is not None:
-        raise ValueError("function carries a pre-addition map; use match_general")
+) -> JointGaussian:
+    """Structured moment matching for ``y = [A1 x + g(z); A x]``.
+
+    Evaluates ``g`` once at the input z-mean plus once per deduplicated
+    nonlinear point and factorizes only the leading ``z`` columns of the input
+    covariance.  The collapsed sums run on the stacked linear rows ``[A1; A]``;
+    the ``A1`` block is then folded onto the ``g`` block.
+    """
     if plf.x_dim != cr.dim:
         raise ValueError(f"function x_dim {plf.x_dim} does not match rule dimension {cr.dim}")
     if plf.z_dim != cr.z_dim:
@@ -270,47 +216,31 @@ def _match_pl_impl(
     m = np.asarray(m, dtype=float)
     if m.shape != (cr.dim,):
         raise ValueError(f"mean shape {m.shape} does not match dimension {cr.dim}")
-    if use_unique is None:
-        # deduplication only changes anything for tensor grids, but it is
-        # harmless (and the default) everywhere
-        use_unique = True
     z = cr.z_dim
 
-    if use_unique:
-        uq = unique_nonlinear(cr)
-        s_z = uq.points  # (Z, n) leading blocks; trailing coordinates are zero
-        w_z = uq.weights
-        off_zero = True
-    else:
-        if not cr.materialized:
-            raise ValueError("virtual rule supports only the deduplicated point set")
-        s_z = cr.z_blocks
-        w_z = cr.w_z
-        off_zero = cr.z_off_block_zero
-
-    if off_zero:
-        pc = cholesky_partial(p, z)
-        lnn = pc.lnn
-        l_xi = pc.column_block() @ s_z  # (X, n)
-    else:
-        lf = cholesky_full(p)
-        lnn = lf[:z, :z]
-        l_xi = lf @ cr.xi_z
+    # deduplicated leading blocks; their trailing coordinates are zero, so the
+    # first z columns of the Cholesky factor map them into state space
+    uq = unique_nonlinear(cr)
+    s_z = uq.points
+    w_z = uq.weights
+    pc = cholesky_partial(p, z)
+    l_xi = pc.column_block() @ s_z  # (X, n)
 
     m_z = m[:z]
     # one batched call: column 0 is the z-mean (evaluated once, reused below),
     # the rest are the nonlinear points
     zpts = np.empty((z, s_z.shape[1] + 1))
     zpts[:, 0] = m_z
-    zpts[:, 1:] = m_z[:, None] + lnn @ s_z
+    zpts[:, 1:] = m_z[:, None] + pc.lnn @ s_z
     g_all = plf.eval_g_batch(zpts)
     g0 = g_all[:, 0]
     g_z = g_all[:, 1:]
 
-    a = plf.a
+    a = plf._a_stack
+    n1 = a.shape[0] - plf.a.shape[0]  # rows of A1, folded onto the g block
     w_cl = cr.w_cl
     top = w_cl * g0 + g_z @ w_z
-    m_y = np.concatenate((top, a @ m))
+    a_m = a @ m
 
     u = -top
     u_l = g0 + u
@@ -319,123 +249,22 @@ def _match_pl_impl(
     p = np.asarray(p, dtype=float)
     p_at = p @ a.T
     pxy_nl = (l_xi * w_z) @ g_z.T  # (X, G)
-    p_xy = np.hstack((pxy_nl, p_at))
+    a_pxy = a @ pxy_nl
+    a_pat = a @ p_at
 
     g_dim = plf.g_dim
-    y_dim = plf.y_dim
-    p_yy = np.empty((y_dim, y_dim))
+    m_y = np.concatenate((top, a_m[n1:]))
+    p_xy = np.hstack((pxy_nl, p_at[:, n1:]))
+    p_yy = np.empty((plf.y_dim, plf.y_dim))
     p_yy[:g_dim, :g_dim] = (gc * w_z) @ gc.T + w_cl * np.outer(u_l, u_l)
-    p_yy[g_dim:, :g_dim] = a @ pxy_nl
-    p_yy[g_dim:, g_dim:] = a @ p_at
+    p_yy[g_dim:, :g_dim] = a_pxy[n1:]
+    p_yy[g_dim:, g_dim:] = a_pat[n1:, n1:]
+    if n1:
+        m_y[:g_dim] += a_m[:n1]
+        p_xy[:, :g_dim] += p_at[:, :n1]
+        p_yy[:g_dim, :g_dim] += a_pxy[:n1].T
+        p_yy[:g_dim, :g_dim] += a_pxy[:n1]
+        p_yy[:g_dim, :g_dim] += a_pat[:n1, :n1]
+        p_yy[g_dim:, :g_dim] += a_pat[n1:, :n1]
     p_yy = _mirror_lower(p_yy)  # fills the upper blocks and pins symmetry
-
-    scratch = None
-    if debug or want_scratch:
-        scratch = MatchScratch(
-            w_cl=w_cl, g_z=g_z, u=u, u_l=u_l, c_z=np.tile(u[:, None], (1, w_z.size))
-        )
-        if debug:
-            _check_scratch(scratch, g0, w_z)
-    joint = JointGaussian(m_x=m, m_y=m_y, p_xx=p, p_xy=p_xy, p_yy=p_yy)
-    return joint, scratch
-
-
-def _check_scratch(s: MatchScratch, g0: np.ndarray, w_z: np.ndarray):
-    tol = 1e-13
-    scale = 1.0 + float(np.abs(s.g_z).max(initial=0.0))
-    u_ref = -s.w_cl * g0 - s.g_z @ w_z
-    assert float(np.abs(u_ref - s.u).max(initial=0.0)) <= tol * scale
-    assert float(np.abs((g0 + s.u) - s.u_l).max(initial=0.0)) <= tol * scale
-    assert float(np.abs(s.c_z - s.u[:, None]).max(initial=0.0)) == 0.0
-    assert abs((1.0 - float(w_z.sum())) - s.w_cl) <= 1e-12
-
-
-def match_pl(
-    plf: PartiallyLinearFunction,
-    m: np.ndarray,
-    p: np.ndarray,
-    cr: ClassifiedRule,
-    use_unique: bool | None = None,
-    debug: bool = False,
-) -> JointGaussian:
-    """Structured moment matching for ``y = [g(z); A x]``.
-
-    Evaluates ``g`` once at the input z-mean plus once per (deduplicated,
-    when ``use_unique``) nonlinear point, and factorizes only the leading
-    ``z`` columns of the input covariance whenever the nonlinear points have
-    no trailing-coordinate component.  Falls back to the full factorization
-    otherwise while keeping the collapsed sums.
-    """
-    joint, _ = _match_pl_impl(plf, m, p, cr, use_unique, debug)
-    return joint
-
-
-def match_pl_with_scratch(
-    plf: PartiallyLinearFunction,
-    m: np.ndarray,
-    p: np.ndarray,
-    cr: ClassifiedRule,
-    use_unique: bool | None = None,
-    debug: bool = False,
-):
-    """Like :func:`match_pl`, also returning the internal sums for inspection."""
-    return _match_pl_impl(plf, m, p, cr, use_unique, debug, want_scratch=True)
-
-
-def match_general(
-    plf: PartiallyLinearFunction,
-    m: np.ndarray,
-    p: np.ndarray,
-    cr: ClassifiedRule,
-    use_unique: bool | None = None,
-    debug: bool = False,
-) -> JointGaussian:
-    """Structured moment matching for ``y = [A1 x + g(z); A2 x]``.
-
-    Internally matches the auxiliary output ``o = [g(z); A1 x; A2 x]`` with
-    :func:`match_pl` and recombines the blocks; the auxiliary function shares
-    the evaluation counter of ``plf``.
-    """
-    if plf.a1 is None:
-        raise ValueError("function has no pre-addition map; use match_pl")
-    g_dim = plf.g_dim
-    aux = PartiallyLinearFunction(
-        z_dim=plf.z_dim,
-        x_dim=plf.x_dim,
-        g=plf._g,
-        g_dim=g_dim,
-        a=np.vstack((plf.a1, plf.a)),
-        g_batch=plf._g_batch,
-        _counter=plf._counter,
-    )
-    jo, _ = _match_pl_impl(aux, m, p, cr, use_unique, debug)
-    lo = g_dim
-    hi = 2 * g_dim
-    m_y = np.concatenate((jo.m_y[:lo] + jo.m_y[lo:hi], jo.m_y[hi:]))
-    p_xy = np.hstack((jo.p_xy[:, :lo] + jo.p_xy[:, lo:hi], jo.p_xy[:, hi:]))
-    oo = jo.p_yy
-    tr = oo[:lo, hi:] + oo[lo:hi, hi:]
-    y_dim = plf.y_dim
-    p_yy = np.empty((y_dim, y_dim))
-    p_yy[:lo, :lo] = _mirror_lower(
-        oo[:lo, :lo] + oo[:lo, lo:hi] + oo[lo:hi, :lo] + oo[lo:hi, lo:hi]
-    )
-    p_yy[:lo, lo:] = tr
-    p_yy[lo:, :lo] = tr.T
-    p_yy[lo:, lo:] = oo[hi:, hi:]
-    return JointGaussian(m_x=jo.m_x, m_y=m_y, p_xx=jo.p_xx, p_xy=p_xy, p_yy=p_yy)
-
-
-def match_structured(
-    plf: PartiallyLinearFunction,
-    m: np.ndarray,
-    p: np.ndarray,
-    cr: ClassifiedRule,
-    use_unique: bool | None = None,
-    debug: bool = False,
-) -> JointGaussian:
-    """Dispatch to :func:`match_general` or :func:`match_pl` depending on
-    whether the function carries a pre-addition map."""
-    if plf.a1 is not None:
-        return match_general(plf, m, p, cr, use_unique, debug)
-    return match_pl(plf, m, p, cr, use_unique, debug)
+    return JointGaussian(m_x=m, m_y=m_y, p_xx=p, p_xy=p_xy, p_yy=p_yy)

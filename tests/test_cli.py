@@ -3,7 +3,8 @@ import io
 
 import pytest
 
-from plfilt import gauss_hermite_rule
+import plfilt.cli
+from plfilt import CubatureRule, gauss_hermite_rule, spherical_rule
 from plfilt.cli import (
     DEFAULTS,
     bench_config_from,
@@ -200,9 +201,18 @@ class TestValidate:
         expected = 6 + 6 + 2 * 3 + 6 + 11
         assert len(lines) == expected
 
-    def test_corrupted_weight_fails(self):
+    def test_corrupted_weight_fails(self, monkeypatch):
+        def perturbed(x):
+            rule = spherical_rule(x)
+            if x != 3:
+                return rule
+            w = rule.weights.copy()
+            w[0] += 1e-6
+            return CubatureRule(dim=x, weights=w, points=rule.points.copy(), kind=rule.kind)
+
+        monkeypatch.setattr(plfilt.cli, "spherical_rule", perturbed)
         cfg = merged_config(None, dict(self.SMALL))
-        lines, ok = run_validate(cfg, corrupt=True)
+        lines, ok = run_validate(cfg)
         assert not ok
         failing = [line for line in lines if line.startswith("FAIL")]
         assert failing and "sc x=3" in failing[0]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from plfilt import (
+    CubatureRule,
     PointBudgetExceededError,
     RuleKind,
     classify,
@@ -175,12 +176,32 @@ class TestGaussHermite:
         assert symmetric
 
 
+def subsets(cr):
+    """(weights, points) of the central, nonlinear and linear subsets, the
+    central and linear ones rebuilt from ``cr.base`` and ``cr.idx_z``."""
+    pts = cr.base.points
+    w = cr.base.weights
+    rest = np.setdiff1d(np.arange(cr.count), cr.idx_z)
+    central = rest[~pts[:, rest].any(axis=0)]
+    linear = rest[pts[:, rest].any(axis=0)]
+    return (
+        (w[central], pts[:, central]),
+        (cr.w_z, cr.xi_z),
+        (w[linear], pts[:, linear]),
+    )
+
+
 def reassembled_pairs(cr):
     pairs = []
-    for w_arr, xi_arr in ((cr.w_c, cr.xi_c), (cr.w_z, cr.xi_z), (cr.w_l, cr.xi_l)):
+    for w_arr, xi_arr in subsets(cr):
         for j in range(w_arr.size):
             pairs.append((w_arr[j], tuple(xi_arr[:, j])))
     return sorted(pairs)
+
+
+def sorted_columns(w, xi):
+    rows = np.vstack((xi, w))
+    return rows[:, np.lexsort(rows[::-1])]
 
 
 class TestClassify:
@@ -209,6 +230,7 @@ class TestClassify:
     def test_partition_recovers_rule(self, rule, z):
         cr = classify(rule, z)
         assert cr.n_c + cr.n_z + cr.n_l == rule.count
+        assert [w.size for w, _ in subsets(cr)] == [cr.n_c, cr.n_z, cr.n_l]
         original = sorted(
             (rule.weights[j], tuple(rule.points[:, j])) for j in range(rule.count)
         )
@@ -225,24 +247,36 @@ class TestClassify:
     )
     def test_pairing_and_subsets(self, rule, z):
         cr = classify(rule, z)
+        (w_c, xi_c), (w_z, xi_z), (w_l, xi_l) = subsets(cr)
         # central points are exactly zero
-        assert not cr.xi_c.any()
+        assert not xi_c.any()
         # linear points vanish in the leading block but not overall
         if cr.n_l:
-            assert not cr.xi_l[:z].any()
-            assert all(cr.xi_l[:, j].any() for j in range(cr.n_l))
+            assert not xi_l[:z].any()
+            assert all(xi_l[:, j].any() for j in range(cr.n_l))
         # nonlinear points perturb the leading block
-        assert all(cr.xi_z[:z, j].any() for j in range(cr.n_z))
-        # column i and column n/2 + i are exact negations with equal weights
-        for xi, w in ((cr.xi_z, cr.w_z), (cr.xi_l, cr.w_l)):
-            half = w.size // 2
-            assert np.array_equal(xi[:, :half], -xi[:, half:] + 0.0)
-            assert np.array_equal(w[:half], w[half:])
+        assert all(xi_z[:z, j].any() for j in range(cr.n_z))
+        # nonlinear column i and column n/2 + i are exact negations with
+        # equal weights
+        half = w_z.size // 2
+        assert np.array_equal(xi_z[:, :half], -xi_z[:, half:] + 0.0)
+        assert np.array_equal(w_z[:half], w_z[half:])
+        # the linear subset is closed under exact negation, weights included
+        assert np.array_equal(sorted_columns(w_l, xi_l), sorted_columns(w_l, -xi_l + 0.0))
 
     def test_w_cl(self):
         for rule, z in [(spherical_rule(5), 2), (unscented_rule(4, 1.0, 2.0), 2)]:
             cr = classify(rule, z)
-            assert abs(cr.w_cl - (cr.w_c.sum() + cr.w_l.sum())) <= 1e-12
+            (w_c, _), _, (w_l, _) = subsets(cr)
+            assert abs(cr.w_cl - (w_c.sum() + w_l.sum())) <= 1e-12
+
+    def test_unpaired_linear_point_rejected(self):
+        rule = spherical_rule(3)
+        pts = rule.points.copy()
+        pts[2, 2] *= 2.0  # a linear point for z = 1 loses its mirrored twin
+        broken = CubatureRule(dim=3, weights=rule.weights.copy(), points=pts, kind=rule.kind)
+        with pytest.raises(ValueError):
+            classify(broken, 1)
 
     def test_zero_weight_central_point_kept(self):
         # alpha^2 (x + kappa) = x makes lambda exactly 0

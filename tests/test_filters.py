@@ -3,15 +3,20 @@ import numpy as np
 import pytest
 
 from plfilt import (
+    BearingSensorParams,
     EstimationModel,
     FilterState,
     FilterStepError,
     GaussianMoments,
     InnovationDegenerateError,
     JointGaussian,
+    NotPositiveDefiniteError,
     PartiallyLinearFunction,
     Permutation,
+    SingerParams,
+    SingularGeometryError,
     classify,
+    fusion_model,
     kalman_update,
     lrkf_step,
     pl_lrkf_step,
@@ -211,6 +216,32 @@ class TestStructuredEquivalence:
         with pytest.raises(FilterStepError) as err:
             pl_lrkf_step(state, model, np.zeros(y_dim))
         assert err.value.step == 7
+
+    def test_failed_flow_match_is_predict(self, rng):
+        x_dim, y_dim = 4, 2
+        model, *_ = linear_model(rng, x_dim, y_dim)
+        # the first pivot fails, which both factorizations see
+        state = FilterState(k=2, mean=np.zeros(x_dim), cov=np.diag([-1.0, 1.0, 1.0, 1.0]))
+        for step_fn in (lrkf_step, pl_lrkf_step):
+            with pytest.raises(FilterStepError) as err:
+                step_fn(state, model, np.zeros(y_dim))
+            assert (err.value.step, err.value.phase) == (3, "predict")
+            assert isinstance(err.value.__cause__, NotPositiveDefiniteError)
+
+    def test_sigma_point_at_base_station(self):
+        # zero position, velocity and acceleration: pl evaluates the bearings
+        # at the predicted z-mean, the origin; full has sigma points along the
+        # velocity columns of the lower factor whose position is the origin
+        singer = SingerParams(agents=1)
+        sensor = BearingSensorParams()
+        model = fusion_model(singer, sensor)
+        state = FilterState(k=0, mean=np.zeros(9), cov=sensor.reported_cov.copy())
+        y = np.zeros(model.y_dim)
+        for step_fn in (lrkf_step, pl_lrkf_step):
+            with pytest.raises(FilterStepError) as err:
+                step_fn(state, model, y)
+            assert (err.value.step, err.value.phase) == (1, "measure")
+            assert isinstance(err.value.__cause__, SingularGeometryError)
 
 
 class TestModelValidation:

@@ -11,11 +11,8 @@ from plfilt import (
     make_classified,
     make_rule,
     match_full,
-    match_general,
     match_pl,
-    match_pl_with_scratch,
     spherical_rule,
-    unique_nonlinear,
     unscented_rule,
 )
 from conftest import random_spd
@@ -159,7 +156,7 @@ class TestMatchPl:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(5, z, l, trial)))
             m, p = trial_moments(rng, x)
             jf = match_full(plf, m, p, rule)
-            jp = match_pl(plf, m, p, cr, debug=True)
+            jp = match_pl(plf, m, p, cr)
             for block in BLOCKS:
                 a_blk = getattr(jf, block)
                 b_blk = getattr(jp, block)
@@ -197,19 +194,6 @@ class TestMatchPl:
         ref = a_mat @ (0.5 * (p + p.T)) @ a_mat.T
         assert np.abs(joint.p_yy[z:, z:] - ref).max() <= 1e-13 * (1 + np.abs(ref).max())
 
-    def test_unique_toggle_gh(self, rng):
-        z, l = 2, 4
-        x = z + l
-        plf = benchmark_function(z, l, 8)
-        cr = classify(gauss_hermite_rule(x, 3), z)
-        m, p = trial_moments(rng, x)
-        j_on = match_pl(plf, m, p, cr, use_unique=True)
-        j_off = match_pl(plf, m, p, cr, use_unique=False)
-        for block in BLOCKS:
-            a_blk = getattr(j_on, block)
-            b_blk = getattr(j_off, block)
-            assert np.abs(a_blk - b_blk).max() <= 1e-12 * (1 + np.abs(a_blk).max())
-
     def test_eval_count_law(self, rng):
         cases = [
             ("sc", 2, 5, 1 + 2 * 2),
@@ -233,29 +217,10 @@ class TestMatchPl:
             match_full(plf, m, p, rule)
             assert plf.g_eval_count == rule.count
 
-    def test_scratch_identities(self, rng):
-        z, l = 3, 5
-        x = z + l
-        plf = benchmark_function(z, l, 12)
-        cr = classify(unscented_rule(x, 1.0, 2.0), z)
-        m, p = trial_moments(rng, x)
-        joint, scratch = match_pl_with_scratch(plf, m, p, cr, debug=True)
-        uq = unique_nonlinear(cr)
-        g0 = scratch.u_l - scratch.u
-        # recompute u from the other pieces
-        u_ref = -scratch.w_cl * g0 - scratch.g_z @ uq.weights
-        assert np.abs(u_ref - scratch.u).max() <= 1e-13 * (1 + np.abs(scratch.g_z).max())
-        assert np.array_equal(scratch.c_z, np.tile(scratch.u[:, None], (1, uq.count)))
-        assert scratch.w_cl == pytest.approx(1.0 - uq.weights.sum(), abs=1e-12)
-        assert scratch.g_z.shape == (z, uq.count)
-        joint.validate()
-
     def test_virtual_rule_requires_unique(self, rng):
         virt = make_classified(RuleKind("gh", order=3), 8, 2, point_budget=10)
         plf = benchmark_function(2, 6, 4)
         m, p = trial_moments(rng, 8)
-        with pytest.raises(ValueError):
-            match_pl(plf, m, p, virt, use_unique=False)
         joint = match_pl(plf, m, p, virt)
         real = match_pl(plf, m, p, classify(gauss_hermite_rule(8, 3), 2))
         assert np.abs(joint.p_yy - real.p_yy).max() <= 1e-12 * (1 + np.abs(real.p_yy).max())
@@ -267,19 +232,34 @@ class TestMatchPl:
         with pytest.raises(ValueError):
             match_pl(plf, m, p, cr)
 
-    def test_rejects_pre_addition_form(self, rng):
+    def test_accepts_pre_addition_form(self, rng):
         x = 4
         plf = PartiallyLinearFunction(
             z_dim=1, x_dim=x, g=lambda v: v, g_dim=1,
-            a=np.zeros((3, x)), a1=np.zeros((1, x)),
+            a=rng.standard_normal((3, x)), a1=rng.standard_normal((1, x)),
         )
-        cr = classify(spherical_rule(x), 1)
+        rule = spherical_rule(x)
         m, p = trial_moments(rng, x)
-        with pytest.raises(ValueError):
-            match_pl(plf, m, p, cr)
+        jp = match_pl(plf, m, p, classify(rule, 1))
+        jf = match_full(plf, m, p, rule)
+        for block in BLOCKS:
+            a_blk = getattr(jf, block)
+            assert np.abs(a_blk - getattr(jp, block)).max() <= 1e-10 * (1 + np.abs(a_blk).max())
+
+
+def sin_pre_addition(rng, z, l):
+    """``y = [A1 x + sin(z); A2 x]`` with random dense A1 and A2."""
+    x = z + l
+    return PartiallyLinearFunction(
+        z_dim=z, x_dim=x, g=lambda v: np.sin(v), g_dim=z,
+        a=rng.standard_normal((l, x)), a1=rng.standard_normal((z, x)),
+        g_batch=np.sin,
+    )
 
 
 class TestMatchGeneral:
+    """``match_pl`` on the general form ``y = [A1 x + g(z); A2 x]``."""
+
     def test_zero_pre_addition_collapses(self, rng):
         z, l = 2, 3
         x = z + l
@@ -290,7 +270,7 @@ class TestMatchGeneral:
         )
         cr = classify(spherical_rule(x), z)
         m, p = trial_moments(rng, x)
-        ja = match_general(with_a1, m, p, cr)
+        ja = match_pl(with_a1, m, p, cr)
         jb = match_pl(base, m, p, cr)
         for block in BLOCKS:
             assert np.abs(getattr(ja, block) - getattr(jb, block)).max() <= 1e-14 * (
@@ -308,7 +288,7 @@ class TestMatchGeneral:
         stacked = np.vstack((a1, a2))
         cr = classify(unscented_rule(x, 1.0, 2.0), z)
         m, p = trial_moments(rng, x)
-        joint = match_general(plf, m, p, cr)
+        joint = match_pl(plf, m, p, cr)
         scale = 1 + np.abs(p).max()
         assert np.abs(joint.m_y - stacked @ m).max() <= 1e-10 * scale
         assert np.abs(joint.p_xy - p @ stacked.T).max() <= 1e-10 * scale
@@ -316,32 +296,39 @@ class TestMatchGeneral:
 
     def test_sin_structure_against_full(self, rng):
         z, l = 2, 3
-        x = z + l
-        a1 = rng.standard_normal((z, x))
-        a2 = rng.standard_normal((l, x))
-        plf = PartiallyLinearFunction(
-            z_dim=z, x_dim=x, g=lambda v: np.sin(v), g_dim=z, a=a2, a1=a1,
-            g_batch=np.sin,
-        )
-        rule = unscented_rule(x, 1.0, 2.0)
-        cr = classify(rule, z)
-        m, p = trial_moments(rng, x)
-        jg = match_general(plf, m, p, cr)
+        plf = sin_pre_addition(rng, z, l)
+        rule = unscented_rule(z + l, 1.0, 2.0)
+        m, p = trial_moments(rng, z + l)
+        jp = match_pl(plf, m, p, classify(rule, z))
         jf = match_full(plf, m, p, rule)  # stacked form evaluated pointwise
         for block in BLOCKS:
             a_blk = getattr(jf, block)
-            assert np.abs(a_blk - getattr(jg, block)).max() <= 1e-10 * (1 + np.abs(a_blk).max())
+            assert np.abs(a_blk - getattr(jp, block)).max() <= 1e-10 * (1 + np.abs(a_blk).max())
+
+    def test_gauss_hermite_materialized_and_virtual(self, rng):
+        z, l = 2, 4
+        x = z + l
+        plf = sin_pre_addition(rng, z, l)
+        kind = RuleKind("gh", order=3)
+        rule = make_rule(kind, x)
+        m, p = trial_moments(rng, x)
+        jf = match_full(plf, m, p, rule)
+        real = make_classified(kind, x, z)
+        virt = make_classified(kind, x, z, point_budget=10)
+        assert real.materialized and not virt.materialized
+        for cr in (real, virt):
+            jp = match_pl(plf, m, p, cr)
+            for block in BLOCKS:
+                a_blk = getattr(jf, block)
+                assert np.abs(a_blk - getattr(jp, block)).max() <= 1e-10 * (
+                    1 + np.abs(a_blk).max()
+                )
 
     def test_counter_shared(self, rng):
         z, l = 2, 3
-        x = z + l
-        plf = PartiallyLinearFunction(
-            z_dim=z, x_dim=x, g=lambda v: np.sin(v), g_dim=z,
-            a=rng.standard_normal((l, x)), a1=rng.standard_normal((z, x)),
-            g_batch=np.sin,
-        )
-        cr = classify(spherical_rule(x), z)
-        m, p = trial_moments(rng, x)
+        plf = sin_pre_addition(rng, z, l)
+        cr = classify(spherical_rule(z + l), z)
+        m, p = trial_moments(rng, z + l)
         plf.reset_g_eval_count()
-        match_general(plf, m, p, cr)
+        match_pl(plf, m, p, cr)
         assert plf.g_eval_count == 1 + 2 * z
