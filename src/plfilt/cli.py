@@ -19,7 +19,6 @@ import numpy as np
 
 from .cubature import (
     DEFAULT_POINT_BUDGET,
-    CubatureRule,
     RuleKind,
     gauss_hermite_rule,
     hermite_1d,
@@ -228,17 +227,6 @@ def write_csv(stream, comments, header, rows):
         stream.write(",".join(_csv_quote(str(c)) for c in row) + "\n")
 
 
-def rule_to_csv(rule: CubatureRule, stream):
-    """Debug dump of a rule: one row per point, weight first, 17 significant
-    digits throughout."""
-    header = ["weight"] + [f"xi_{i}" for i in range(rule.dim)]
-    rows = [
-        [_fmt(rule.weights[j])] + [_fmt(v) for v in rule.points[:, j]]
-        for j in range(rule.count)
-    ]
-    write_csv(stream, [f"rule {rule.kind.label()} dim={rule.dim}"], header, rows)
-
-
 # ---------------------------------------------------------------------------
 # bench subcommand
 # ---------------------------------------------------------------------------
@@ -419,6 +407,9 @@ def _spd_matrix(rng, n):
 def run_validate(cfg: dict):
     """Self-check sweep.  Returns (lines, ok); one line per check."""
     seed = int(cfg["seed"])
+    max_dim = int(cfg["validate.chol_max_dim"])
+    if max_dim < 2:
+        raise ValueError(f"validate.chol_max_dim must be >= 2, got {max_dim}")
     lines = []
     all_ok = True
 
@@ -456,7 +447,6 @@ def run_validate(cfg: dict):
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 10_000)))
     total = int(cfg["validate.chol_matrices"])
-    max_dim = int(cfg["validate.chol_max_dim"])
     dims = [2 + (i % (max_dim - 1)) for i in range(total)]
     worst = {}
     for n in dims:

@@ -36,17 +36,16 @@ from .moments import (
 class EstimationModel:
     """A state-space model in the form both filter variants consume.
 
-    ``flow`` and ``measurement`` are stored in their respective permuted
-    coordinates: ``flow_perm`` (resp. ``meas_perm``) gathers the state so the
-    function's nonlinear coordinates lead.  The flow maps permuted state to
-    permuted next state; the measurement maps permuted state to measurement
-    space.  ``q`` and ``r`` are the additive noise covariances in original
-    state coordinates and measurement coordinates.
+    The state's order is chosen so the flow's nonlinear coordinates lead:
+    ``flow`` maps the state to the next state in those same coordinates.
+    Only the measurement is stored permuted: ``meas_perm`` gathers the state
+    so its nonlinear coordinates lead, and ``measurement`` maps that permuted
+    state to measurement space.  ``q`` and ``r`` are the additive noise
+    covariances in state and measurement coordinates.
     """
 
     flow: PartiallyLinearFunction
     q: np.ndarray
-    flow_perm: Permutation
     flow_rule: ClassifiedRule
     measurement: PartiallyLinearFunction
     r: np.ndarray
@@ -64,8 +63,8 @@ class EstimationModel:
             raise ValueError("measurement input dimension does not match the state")
         if q.shape != (x, x) or r.shape != (y, y):
             raise ValueError("noise covariance shapes do not match the model")
-        if self.flow_perm.size != x or self.meas_perm.size != x:
-            raise ValueError("permutation sizes do not match the state dimension")
+        if self.meas_perm.size != x:
+            raise ValueError("permutation size does not match the state dimension")
         for rule, plf, tag in (
             (self.flow_rule, self.flow, "flow"),
             (self.meas_rule, self.measurement, "measurement"),
@@ -85,32 +84,24 @@ class EstimationModel:
     def y_dim(self) -> int:
         return self.measurement.y_dim
 
-    def flow_function(self):
-        """The flow in original coordinates, for the unstructured filter path
-        and for simulation."""
-        return _PermutedMap(self.flow, self.flow_perm, unpermute_output=True)
-
     def measurement_function(self):
-        """The measurement in original state coordinates."""
-        return _PermutedMap(self.measurement, self.meas_perm, unpermute_output=False)
+        """The measurement in state coordinates."""
+        return _PermutedMap(self.measurement, self.meas_perm)
 
 
 class _PermutedMap:
-    """Adapter evaluating a stored (permuted-coordinate) function on
-    original-coordinate inputs."""
+    """Adapter evaluating a function stored in permuted coordinates on
+    state-coordinate inputs."""
 
-    def __init__(self, plf: PartiallyLinearFunction, perm: Permutation, unpermute_output: bool):
+    def __init__(self, plf: PartiallyLinearFunction, perm: Permutation):
         self._plf = plf
         self._idx = perm.indices
-        self._inv = perm.inverse.indices if unpermute_output else None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        out = self._plf(np.asarray(x, dtype=float)[self._idx])
-        return out[self._inv] if self._inv is not None else out
+        return self._plf(np.asarray(x, dtype=float)[self._idx])
 
     def eval_batch(self, xmat: np.ndarray) -> np.ndarray:
-        out = self._plf.eval_batch(np.asarray(xmat, dtype=float)[self._idx])
-        return out[self._inv] if self._inv is not None else out
+        return self._plf.eval_batch(np.asarray(xmat, dtype=float)[self._idx])
 
 
 @dataclass(frozen=True)
@@ -191,9 +182,7 @@ def lrkf_step(
     if model.flow_rule.base is None or model.meas_rule.base is None:
         raise ValueError("the unstructured filter path needs materialized rules")
     with _phase(k_next, "predict"):
-        jt = match_full(
-            model.flow_function(), state.mean, state.cov, model.flow_rule.base
-        )
+        jt = match_full(model.flow, state.mean, state.cov, model.flow_rule.base)
     m_pred = jt.m_y
     p_pred = _symmetrized(jt.p_yy) + model.q
     with _phase(k_next, "measure"):
@@ -218,23 +207,21 @@ def pl_lrkf_step(
 ) -> FilterState:
     """One predict/update cycle of the structured filter.
 
-    Sequence per phase: permute the moments so the nonlinear coordinates
-    lead, factorize the leading columns, run the structured moment match,
-    then permute back.  The conditioning step runs in the
-    measurement-permuted coordinates and its posterior is permuted back at
-    the end.  On identical rules and models this reproduces
-    :func:`lrkf_step` up to roundoff while evaluating only the nonlinear
-    blocks of the model functions.
+    The flow is matched in state coordinates, where its nonlinear
+    coordinates already lead.  The predicted moments are then permuted so
+    the measurement's nonlinear coordinates lead; the measurement match and
+    the conditioning step run in those coordinates, and the posterior is
+    permuted back at the end.  Each match factorizes only the leading
+    columns of its covariance.  On identical rules and models this
+    reproduces :func:`lrkf_step` up to roundoff while evaluating only the
+    nonlinear blocks of the model functions.
     """
     k_next = state.k + 1
-    tf = model.flow_perm
     th = model.meas_perm
-    m_bar, p_bar = permute_moments(tf, state.mean, state.cov)
     with _phase(k_next, "predict"):
-        jt = match_pl(model.flow, m_bar, p_bar, model.flow_rule)
-    q_bar = model.q[np.ix_(tf.indices, tf.indices)]
-    p_pred_bar = _symmetrized(jt.p_yy) + q_bar
-    m_pred, p_pred = permute_moments(tf.inverse, jt.m_y, p_pred_bar)
+        jt = match_pl(model.flow, state.mean, state.cov, model.flow_rule)
+    m_pred = jt.m_y
+    p_pred = _symmetrized(jt.p_yy) + model.q
 
     m_bar, p_bar = permute_moments(th, m_pred, p_pred)
     with _phase(k_next, "measure"):
@@ -248,7 +235,7 @@ def pl_lrkf_step(
         cholesky_full(cov)  # the posterior must stay positive definite
     record = None
     if keep_prediction:
-        # cross covariance back in original state coordinates
+        # cross covariance back in state coordinates
         cross = joint.p_xy[th.inverse.indices]
         record = PredictionRecord(m_pred, p_pred, joint.m_y, joint.p_yy, cross)
     return FilterState(k=k_next, mean=mean, cov=cov, prediction=record)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
@@ -148,14 +149,12 @@ class Permutation:
     def size(self) -> int:
         return self.indices.size
 
-    @property
+    @cached_property
     def inverse(self) -> "Permutation":
+        """The inverse permutation, built and validated on first use."""
         inv = np.empty(self.indices.size, dtype=np.intp)
         inv[self.indices] = np.arange(self.indices.size, dtype=np.intp)
         return Permutation(inv)
-
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.indices, np.arange(self.size)))
 
 
 def permute_moments(perm: Permutation, m: np.ndarray, p: np.ndarray):

@@ -250,10 +250,11 @@ def fusion_model(
     stacking 2N bearing angles over the N transmitted 9-state estimates.
 
     ``rule_builder`` maps a dimension to a cubature rule (default spherical).
-    The measurement is stored in position-first permuted coordinates, where
-    it has the required leading-nonlinear form with Z = 3N; the flow is fully
-    linear, represented with a single-coordinate nonlinear stub (see below)
-    so the structured path runs unmodified.
+    The flow lives in state coordinates: it is fully linear, represented
+    with a single-coordinate nonlinear stub (see below) so the structured
+    path runs unmodified.  Only the measurement is permuted: it is stored in
+    position-first coordinates, where it has the required leading-nonlinear
+    form with Z = 3N.
     """
     if rule_builder is None:
         rule_builder = spherical_rule
@@ -276,7 +277,6 @@ def fusion_model(
         a1=a1,
         g_batch=lambda z: a11 * z,
     )
-    t_f = Permutation.identity(x_dim)
 
     t_h = position_front_permutation(n)
     unscramble = np.eye(x_dim)[t_h.inverse.indices]  # maps permuted state back
@@ -299,7 +299,6 @@ def fusion_model(
     return EstimationModel(
         flow=flow,
         q=q_full,
-        flow_perm=t_f,
         flow_rule=classify(rule_builder(x_dim), 1),
         measurement=measurement,
         r=r,

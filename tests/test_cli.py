@@ -4,14 +4,13 @@ import io
 import pytest
 
 import plfilt.cli
-from plfilt import CubatureRule, gauss_hermite_rule, spherical_rule
+from plfilt import CubatureRule, spherical_rule
 from plfilt.cli import (
     DEFAULTS,
     bench_config_from,
     load_config_file,
     main,
     merged_config,
-    rule_to_csv,
     run_bench,
     run_sim,
     run_validate,
@@ -76,19 +75,6 @@ class TestCsv:
         write_csv(buf, ["note"], ["a", "b"], [["x,y", 'he said "hi"']])
         text = buf.getvalue()
         assert text == '# note\na,b\n"x,y","he said ""hi"""\n'
-
-    def test_rule_dump_roundtrip(self):
-        rule = gauss_hermite_rule(2, 3)
-        buf = io.StringIO()
-        rule_to_csv(rule, buf)
-        header, rows = parse_csv(buf.getvalue())
-        assert header == ["weight", "xi_0", "xi_1"]
-        assert len(rows) == rule.count
-        # 17 significant digits reparse to the exact same doubles
-        for j, row in enumerate(rows):
-            assert float(row[0]) == rule.weights[j]
-            assert float(row[1]) == rule.points[0, j]
-            assert float(row[2]) == rule.points[1, j]
 
 
 class TestBench:
@@ -216,6 +202,12 @@ class TestValidate:
         assert not ok
         failing = [line for line in lines if line.startswith("FAIL")]
         assert failing and "sc x=3" in failing[0]
+
+    @pytest.mark.parametrize("value", ["1", "0", "-3"])
+    def test_chol_max_dim_below_two_rejected(self, value):
+        cfg = merged_config(None, dict(self.SMALL, **{"validate.chol_max_dim": value}))
+        with pytest.raises(ValueError, match="validate.chol_max_dim"):
+            run_validate(cfg)
 
 
 class TestMain:

@@ -51,20 +51,24 @@ def linear_stub(mat):
     )
 
 
-def linear_model(rng, x_dim, y_dim, rule_builder=spherical_rule):
+def linear_model(rng, x_dim, y_dim, rule_builder=spherical_rule, rotated_meas=False):
+    """A random linear model.  With ``rotated_meas`` the measurement is
+    stored in rotated state order, so the structured filter permutes; a
+    rotation is not its own inverse, so a missed inverse shows."""
     a = rng.standard_normal((x_dim, x_dim))
     a *= 0.9 / max(abs(np.linalg.eigvals(a)))  # keep the dynamics stable
     c = rng.standard_normal((y_dim, x_dim))
     q = random_spd(rng, x_dim, shift=1.0) * 0.1
     r = random_spd(rng, y_dim, shift=1.0) * 0.1
+    order = np.arange(x_dim)
+    perm = Permutation(np.roll(order, 1) if rotated_meas else order)
     model = EstimationModel(
         flow=linear_stub(a),
         q=q,
-        flow_perm=Permutation.identity(x_dim),
         flow_rule=classify(rule_builder(x_dim), 1),
-        measurement=linear_stub(c),
+        measurement=linear_stub(c[:, perm.indices]),
         r=r,
-        meas_perm=Permutation.identity(x_dim),
+        meas_perm=perm,
         meas_rule=classify(rule_builder(x_dim), 1),
     )
     return model, a, c, q, r
@@ -116,10 +120,18 @@ class TestKalmanUpdate:
 
 
 class TestLinearReduction:
-    @pytest.mark.parametrize("step_fn", [lrkf_step, pl_lrkf_step], ids=["lrkf", "pl"])
-    def test_matches_kalman_filter(self, rng, step_fn):
+    @pytest.mark.parametrize(
+        "step_fn, rotated_meas",
+        [
+            pytest.param(lrkf_step, False, id="lrkf"),
+            pytest.param(pl_lrkf_step, False, id="pl"),
+            pytest.param(lrkf_step, True, id="lrkf-rotated"),
+            pytest.param(pl_lrkf_step, True, id="pl-rotated"),
+        ],
+    )
+    def test_matches_kalman_filter(self, rng, step_fn, rotated_meas):
         x_dim, y_dim = 5, 3
-        model, a, c, q, r = linear_model(rng, x_dim, y_dim)
+        model, a, c, q, r = linear_model(rng, x_dim, y_dim, rotated_meas=rotated_meas)
         m = rng.standard_normal(x_dim)
         p = random_spd(rng, x_dim)
         state = FilterState(k=0, mean=m.copy(), cov=p.copy())
@@ -140,7 +152,7 @@ class TestLinearReduction:
         model, a, c, q, r = linear_model(rng, x_dim, y_dim)
         big_q = 1e6 * np.eye(x_dim)
         model = EstimationModel(
-            flow=model.flow, q=big_q, flow_perm=model.flow_perm, flow_rule=model.flow_rule,
+            flow=model.flow, q=big_q, flow_rule=model.flow_rule,
             measurement=model.measurement, r=model.r, meas_perm=model.meas_perm,
             meas_rule=model.meas_rule,
         )
@@ -171,8 +183,7 @@ class TestStructuredEquivalence:
         )
         rule = unscented_rule(x_dim, 1.0, 2.0)
         model = EstimationModel(
-            flow=flow, q=0.05 * np.eye(x_dim), flow_perm=Permutation.identity(x_dim),
-            flow_rule=classify(rule, x_dim),
+            flow=flow, q=0.05 * np.eye(x_dim), flow_rule=classify(rule, x_dim),
             measurement=meas, r=0.1 * np.eye(y_dim), meas_perm=Permutation.identity(x_dim),
             meas_rule=classify(rule, x_dim),
         )
@@ -192,9 +203,10 @@ class TestStructuredEquivalence:
             state = pl_lrkf_step(state, model, rng.standard_normal(y_dim))
             assert np.linalg.eigvalsh(state.cov).min() > 0.0
 
-    def test_prediction_record(self, rng):
+    @pytest.mark.parametrize("rotated_meas", [False, True], ids=["identity", "rotated"])
+    def test_prediction_record(self, rng, rotated_meas):
         x_dim, y_dim = 4, 2
-        model, a, c, q, r = linear_model(rng, x_dim, y_dim)
+        model, a, c, q, r = linear_model(rng, x_dim, y_dim, rotated_meas=rotated_meas)
         state = FilterState(k=0, mean=rng.standard_normal(x_dim), cov=np.eye(x_dim))
         y = rng.standard_normal(y_dim)
         plain = lrkf_step(state, model, y, keep_prediction=True)
@@ -252,8 +264,7 @@ class TestModelValidation:
         rule = classify(spherical_rule(x_dim), 1)
         with pytest.raises(ValueError):
             EstimationModel(
-                flow=flow, q=np.eye(3), flow_perm=Permutation.identity(x_dim),
-                flow_rule=rule, measurement=meas, r=np.eye(2),
+                flow=flow, q=np.eye(3), flow_rule=rule, measurement=meas, r=np.eye(2),
                 meas_perm=Permutation.identity(x_dim), meas_rule=rule,
             )
 
@@ -264,7 +275,6 @@ class TestModelValidation:
         rule = classify(spherical_rule(x_dim), 1)
         with pytest.raises(Exception):
             EstimationModel(
-                flow=flow, q=-np.eye(x_dim), flow_perm=Permutation.identity(x_dim),
-                flow_rule=rule, measurement=meas, r=np.eye(2),
+                flow=flow, q=-np.eye(x_dim), flow_rule=rule, measurement=meas, r=np.eye(2),
                 meas_perm=Permutation.identity(x_dim), meas_rule=rule,
             )

@@ -129,6 +129,8 @@ class TestPermutation:
             m2, p2 = permute_moments(perm.inverse, mb, pb)
             assert np.array_equal(m, m2)
             assert np.array_equal(p, p2)
+            assert perm.inverse is perm.inverse  # built once per permutation
+            assert np.array_equal(perm.inverse.inverse.indices, perm.indices)
 
     def test_eigenvalues_preserved(self, rng):
         n = 12

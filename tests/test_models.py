@@ -148,7 +148,7 @@ class TestFusionModel:
         assert model.x_dim == 9
         assert model.y_dim == 11
         assert model.meas_rule.z_dim == 3
-        assert model.meas_perm.is_identity()
+        assert np.array_equal(model.meas_perm.indices, np.arange(9))
 
     def test_two_agent_permutation(self):
         perm = position_front_permutation(2)
@@ -175,7 +175,7 @@ class TestFusionModel:
         model = fusion_model(params, BearingSensorParams())
         a_full, _ = singer_model(params)
         x = rng.standard_normal(18)
-        assert np.abs(model.flow_function()(x) - a_full @ x).max() <= 1e-14
+        assert np.abs(model.flow(x) - a_full @ x).max() <= 1e-14
 
     def test_measurement_stacks_bearings_and_state(self, rng):
         n = 2
