@@ -1,7 +1,6 @@
-"""Command-line harness: moment-matching benchmarks, the tracking
-simulation, and a self-check sweep.  Results are written as CSV with
-deterministic bodies (timing columns excepted) so runs can be diffed across
-machines and repeat runs.
+"""Command-line harness: moment-matching benchmarks and the tracking
+simulation.  Results are written as CSV with deterministic bodies (timing
+columns excepted) so runs can be diffed across machines and repeat runs.
 
 Configuration is a flat ``key = value`` text file; command-line flags win
 over file values, file values win over built-in defaults.  Streams are
@@ -17,20 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubature import (
-    DEFAULT_POINT_BUDGET,
-    RuleKind,
-    gauss_hermite_rule,
-    hermite_1d,
-    make_classified,
-    make_rule,
-    rule_checks,
-    spherical_rule,
-    unscented_rule,
-)
+from .cubature import DEFAULT_POINT_BUDGET, RuleKind, make_classified, make_rule
 from .errors import PointBudgetExceededError
 from .filters import FilterState, lrkf_step, pl_lrkf_step
-from .linalg import cholesky_full, cholesky_partial
 from .models import (
     BearingSensorParams,
     SingerParams,
@@ -69,15 +57,6 @@ DEFAULTS = {
     "singer.sigma_m2": "1.0",
     "sensor.sigma_alpha": "0.01",
     "sensor.reported_var": "0.1",
-    "validate.sc_max_dim": "50",
-    "validate.ut_max_dim": "50",
-    "validate.ut_alpha": "1.0",
-    "validate.ut_kappa": "2.0",
-    "validate.gh_max_order": "5",
-    "validate.gh_max_dim": "6",
-    "validate.chol_matrices": "1000",
-    "validate.chol_max_dim": "40",
-    "validate.hermite_max_order": "9",
 }
 
 
@@ -99,7 +78,11 @@ def load_config_file(path: str) -> dict:
 def merged_config(path: str | None, overrides: dict) -> dict:
     cfg = dict(DEFAULTS)
     if path:
-        cfg.update(load_config_file(path))
+        values = load_config_file(path)
+        unknown = sorted(set(values) - set(DEFAULTS))
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
+        cfg.update(values)
     cfg.update({k: v for k, v in overrides.items() if v is not None})
     return cfg
 
@@ -142,7 +125,6 @@ class BenchConfig:
     seed: int
     modes: frozenset
     point_budget: int
-    out: str | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -158,7 +140,6 @@ class SimConfig:
     steps: int
     seed: int
     filters: frozenset  # subset of {"full", "pl"}; full = plain filter
-    out: str | None = None
 
     def __post_init__(self):
         if self.steps < 1:
@@ -182,7 +163,6 @@ def bench_config_from(cfg: dict) -> BenchConfig:
         seed=int(cfg["seed"]),
         modes=_parse_modes(cfg["bench.modes"]),
         point_budget=int(cfg["bench.point_budget"]),
-        out=cfg.get("out"),
     )
 
 
@@ -203,7 +183,6 @@ def sim_config_from(cfg: dict) -> SimConfig:
         steps=int(cfg["sim.steps"]),
         seed=int(cfg["seed"]),
         filters=_parse_modes(cfg["sim.filters"]),
-        out=cfg.get("out"),
     )
 
 
@@ -395,74 +374,6 @@ def run_sim(cfg: SimConfig):
 
 
 # ---------------------------------------------------------------------------
-# validate subcommand
-# ---------------------------------------------------------------------------
-
-
-def _spd_matrix(rng, n):
-    b = rng.standard_normal((n, n))
-    return b @ b.T + n * np.eye(n)
-
-
-def run_validate(cfg: dict):
-    """Self-check sweep.  Returns (lines, ok); one line per check."""
-    seed = int(cfg["seed"])
-    max_dim = int(cfg["validate.chol_max_dim"])
-    if max_dim < 2:
-        raise ValueError(f"validate.chol_max_dim must be >= 2, got {max_dim}")
-    lines = []
-    all_ok = True
-
-    def emit(name, ok, detail):
-        nonlocal all_ok
-        all_ok &= ok
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-
-    def sweep_rule(name, rule):
-        w_dev, m_dev, symmetric = rule_checks(rule)
-        ok = w_dev <= 1e-12 and m_dev <= 1e-10 and symmetric
-        emit(
-            name,
-            ok,
-            f"weight_dev={w_dev:.2e} moment_dev={m_dev:.2e} symmetric={'yes' if symmetric else 'no'}",
-        )
-
-    for x in range(1, int(cfg["validate.sc_max_dim"]) + 1):
-        sweep_rule(f"sc x={x}", spherical_rule(x))
-    alpha = float(cfg["validate.ut_alpha"])
-    kappa = float(cfg["validate.ut_kappa"])
-    for x in range(1, int(cfg["validate.ut_max_dim"]) + 1):
-        sweep_rule(f"ut x={x}", unscented_rule(x, alpha, kappa))
-    for p in range(2, int(cfg["validate.gh_max_order"]) + 1):
-        for x in range(1, int(cfg["validate.gh_max_dim"]) + 1):
-            sweep_rule(f"gh p={p} x={x}", gauss_hermite_rule(x, p))
-
-    for p in range(1, int(cfg["validate.hermite_max_order"]) + 1):
-        roots, _ = hermite_1d(p)
-        h_prev, h = np.ones_like(roots), roots.copy()
-        for k in range(1, p):
-            h_prev, h = h, roots * h - k * h_prev
-        res = float(np.abs(h).max())
-        emit(f"hermite p={p}", res <= 1e-10, f"residual={res:.2e}")
-
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 10_000)))
-    total = int(cfg["validate.chol_matrices"])
-    dims = [2 + (i % (max_dim - 1)) for i in range(total)]
-    worst = {}
-    for n in dims:
-        p = _spd_matrix(rng, n)
-        full = cholesky_full(p)
-        for z in range(1, n + 1):
-            part = cholesky_partial(p, z)
-            dev = float(np.abs(part.column_block() - full[:, :z]).max())
-            worst[n] = max(worst.get(n, 0.0), dev)
-    for n in sorted(worst):
-        emit(f"chol x={n}", worst[n] <= 1e-13, f"partial_vs_full={worst[n]:.2e}")
-
-    return lines, all_ok
-
-
-# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
@@ -497,9 +408,6 @@ def _build_parser():
     sim.add_argument("--agents", type=int)
     sim.add_argument("--steps", type=int)
     sim.add_argument("--modes", choices=("full", "pl", "both", "lrkf", "pl-lrkf"))
-
-    validate = sub.add_parser("validate", help="run the built-in self checks")
-    _add_common(validate)
     return parser
 
 
@@ -552,14 +460,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 0
-    if args.command == "validate":
-        overrides = {"seed": None if args.seed is None else str(args.seed)}
-        cfg = merged_config(args.config, overrides)
-        lines, ok = run_validate(cfg)
-        _emit(args.out, lambda fh: fh.write("\n".join(lines) + "\n"))
-        if args.out:
-            print(f"validate: {'all checks passed' if ok else 'FAILURES'}", file=sys.stderr)
-        return 0 if ok else 1
     raise AssertionError(f"unhandled command {args.command}")
 
 

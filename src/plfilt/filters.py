@@ -134,11 +134,14 @@ def kalman_update(prior: GaussianMoments, joint: JointGaussian, y: np.ndarray) -
 
     The gain solves against the Cholesky factor of the innovation covariance
     (no explicit inverse); the posterior covariance is computed as
-    ``P - K S K^T`` and re-symmetrized.
+    ``P - K S K^T`` and re-symmetrized.  A misshapen or non-finite
+    measurement raises ``ValueError``.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (joint.y_dim,):
         raise ValueError(f"measurement shape {y.shape} does not match joint dimension {joint.y_dim}")
+    if not np.isfinite(y).all():
+        raise ValueError("measurement contains non-finite values")
     try:
         l = cholesky_full(joint.p_yy)
     except NotPositiveDefiniteError as exc:

@@ -22,18 +22,26 @@ from .errors import NotPositiveDefiniteError
 SYMMETRY_RTOL = 1e-10
 
 
+def _check_symmetric(block: np.ndarray, mirror: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``block`` and ``mirror`` (the transpose of
+    the block on the other side of the diagonal) are finite and agree within
+    the symmetry tolerance."""
+    scale = max(float(np.abs(block).max(initial=0.0)), 1.0)
+    asym = float(np.abs(block - mirror).max(initial=0.0))
+    if not asym <= SYMMETRY_RTOL * scale:  # NaN fails this test too
+        if not (np.isfinite(block).all() and np.isfinite(mirror).all()):
+            raise ValueError("matrix contains non-finite values")
+        raise ValueError(
+            f"matrix is asymmetric beyond tolerance ({asym:.3e} > {SYMMETRY_RTOL:.0e} * {scale:.3e})"
+        )
+
+
 def _as_symmetric(p: np.ndarray) -> np.ndarray:
     """Validate shape/symmetry of ``p`` and return its symmetrized copy."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {p.shape}")
-    diff = p - p.T
-    scale = max(float(np.abs(p).max(initial=0.0)), 1.0)
-    asym = float(np.abs(diff).max(initial=0.0))
-    if asym > SYMMETRY_RTOL * scale:
-        raise ValueError(
-            f"matrix is asymmetric beyond tolerance ({asym:.3e} > {SYMMETRY_RTOL:.0e} * {scale:.3e})"
-        )
+    _check_symmetric(p, p.T)
     return 0.5 * (p + p.T)
 
 
@@ -42,7 +50,7 @@ def cholesky_full(p: np.ndarray) -> np.ndarray:
 
     Raises :class:`NotPositiveDefiniteError` (with the failing pivot index)
     when ``p`` is not positive definite, and ``ValueError`` when ``p`` is
-    asymmetric beyond tolerance.
+    asymmetric beyond tolerance or has a non-finite entry.
     """
     p = _as_symmetric(p)
     c, info = lapack.dpotrf(p, lower=1, clean=1)
@@ -82,9 +90,10 @@ def cholesky_partial(p: np.ndarray, z: int) -> PartialCholesky:
 
     Produces exactly the first ``z`` columns of :func:`cholesky_full` in
     O(X * z^2) work.  Only the leading ``z`` columns (and their row
-    counterparts, for the symmetry check) are ever read, so both the cost and
-    the error reporting are confined to the leading block: an indefiniteness
-    beyond the first ``z`` pivots goes undetected by design.
+    counterparts, for the symmetry and finiteness check) are ever read, so
+    both the cost and the error reporting are confined to the leading block:
+    an indefiniteness beyond the first ``z`` pivots, or a non-finite entry in
+    the trailing block, goes undetected by design.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
@@ -95,13 +104,7 @@ def cholesky_partial(p: np.ndarray, z: int) -> PartialCholesky:
         raise ValueError(f"z must be in 1..{x}, got {z}")
     strip = p[:, :z]
     rows_t = p[:z, :].T
-    diff = strip - rows_t
-    scale = max(float(np.abs(strip).max(initial=0.0)), 1.0)
-    asym = float(np.abs(diff).max(initial=0.0))
-    if asym > SYMMETRY_RTOL * scale:
-        raise ValueError(
-            f"matrix is asymmetric beyond tolerance ({asym:.3e} > {SYMMETRY_RTOL:.0e} * {scale:.3e})"
-        )
+    _check_symmetric(strip, rows_t)
     work = 0.5 * (strip + rows_t)  # matches what cholesky_full factors
     l = np.zeros((x, z))
     for j in range(z):

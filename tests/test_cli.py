@@ -1,10 +1,11 @@
-"""Harness behavior: config handling, CSV output, determinism, self checks."""
+"""Harness behavior: config handling, CSV output, determinism, and the
+README's config table."""
 import io
+import re
+from pathlib import Path
 
 import pytest
 
-import plfilt.cli
-from plfilt import CubatureRule, spherical_rule
 from plfilt.cli import (
     DEFAULTS,
     bench_config_from,
@@ -13,7 +14,6 @@ from plfilt.cli import (
     merged_config,
     run_bench,
     run_sim,
-    run_validate,
     sim_config_from,
     write_csv,
 )
@@ -59,6 +59,21 @@ class TestConfig:
         assert bench.kind.name == "ut"
         assert bench.dims == ((2, 3), (4, 1))
         assert bench.modes == frozenset({"full", "pl"})
+
+    def test_unknown_key_rejected(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("bench.trails = 5\nout = x.csv\nbench.trials = 5\n")
+        with pytest.raises(ValueError, match=r"run\.cfg.*bench\.trails, out"):
+            merged_config(str(cfg_file), {})
+
+    def test_readme_table_matches_defaults(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        table = text.split("### Config keys", 1)[1].split("\n\n", 2)[1]
+        keys = set()
+        for line in table.splitlines()[2:]:  # skip the header and rule rows
+            keys.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+        assert keys == set(DEFAULTS)
 
     def test_bad_values(self):
         with pytest.raises(ValueError):
@@ -167,49 +182,6 @@ class TestSim:
         assert len(rows) == 5
 
 
-class TestValidate:
-    SMALL = {
-        "validate.sc_max_dim": "6",
-        "validate.ut_max_dim": "6",
-        "validate.gh_max_order": "3",
-        "validate.gh_max_dim": "3",
-        "validate.chol_matrices": "30",
-        "validate.chol_max_dim": "12",
-        "validate.hermite_max_order": "6",
-    }
-
-    def test_all_pass(self):
-        cfg = merged_config(None, dict(self.SMALL))
-        lines, ok = run_validate(cfg)
-        assert ok
-        assert all(line.startswith("PASS") for line in lines)
-        # row count tracks the configured sweep bounds
-        expected = 6 + 6 + 2 * 3 + 6 + 11
-        assert len(lines) == expected
-
-    def test_corrupted_weight_fails(self, monkeypatch):
-        def perturbed(x):
-            rule = spherical_rule(x)
-            if x != 3:
-                return rule
-            w = rule.weights.copy()
-            w[0] += 1e-6
-            return CubatureRule(dim=x, weights=w, points=rule.points.copy(), kind=rule.kind)
-
-        monkeypatch.setattr(plfilt.cli, "spherical_rule", perturbed)
-        cfg = merged_config(None, dict(self.SMALL))
-        lines, ok = run_validate(cfg)
-        assert not ok
-        failing = [line for line in lines if line.startswith("FAIL")]
-        assert failing and "sc x=3" in failing[0]
-
-    @pytest.mark.parametrize("value", ["1", "0", "-3"])
-    def test_chol_max_dim_below_two_rejected(self, value):
-        cfg = merged_config(None, dict(self.SMALL, **{"validate.chol_max_dim": value}))
-        with pytest.raises(ValueError, match="validate.chol_max_dim"):
-            run_validate(cfg)
-
-
 class TestMain:
     def test_bench_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
@@ -229,11 +201,3 @@ class TestMain:
         captured = capsys.readouterr()
         header, rows = parse_csv(captured.out)
         assert header[0] == "k" and len(rows) == 3
-
-    def test_validate_exit_codes(self, tmp_path, capsys):
-        cfg_file = tmp_path / "v.cfg"
-        cfg_file.write_text(
-            "\n".join(f"{k} = {v}" for k, v in TestValidate.SMALL.items()) + "\n"
-        )
-        assert main(["validate", "--config", str(cfg_file)]) == 0
-        capsys.readouterr()

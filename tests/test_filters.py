@@ -20,6 +20,7 @@ from plfilt import (
     kalman_update,
     lrkf_step,
     pl_lrkf_step,
+    simulate_tracking,
     spherical_rule,
     unscented_rule,
 )
@@ -254,6 +255,20 @@ class TestStructuredEquivalence:
                 step_fn(state, model, y)
             assert (err.value.step, err.value.phase) == (1, "measure")
             assert isinstance(err.value.__cause__, SingularGeometryError)
+
+    @pytest.mark.parametrize("step_fn", [lrkf_step, pl_lrkf_step], ids=["lrkf", "pl"])
+    def test_non_finite_measurement_rejected(self, step_fn):
+        singer = SingerParams(agents=1)
+        sensor = BearingSensorParams()
+        model = fusion_model(singer, sensor)
+        data = simulate_tracking(singer, sensor, 2, np.random.SeedSequence(entropy=(5,)))
+        state = FilterState(k=0, mean=data.init_mean, cov=data.init_cov)
+        state = step_fn(state, model, data.measurements[0])
+        y = data.measurements[1].copy()
+        y[0] = np.nan
+        # refused at the step that receives the value, not one step later
+        with pytest.raises(ValueError, match="non-finite"):
+            step_fn(state, model, y)
 
 
 class TestModelValidation:

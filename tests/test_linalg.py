@@ -44,6 +44,12 @@ class TestCholeskyFull:
         p[0, 1] += 1.0
         with pytest.raises(ValueError, match="asymmetric"):
             cholesky_full(p)
+        # NaN or inf, on or off the diagonal, fails the same check
+        for entry, value in (((2, 2), np.nan), ((3, 1), np.nan), ((1, 3), np.nan), ((2, 2), np.inf)):
+            q = random_spd(rng, 5)
+            q[entry] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                cholesky_full(q)
 
     def test_small_asymmetry_symmetrized(self, rng):
         p = random_spd(rng, 5)
@@ -88,8 +94,20 @@ class TestCholeskyPartial:
         p[5, 5] = -1.0
         with pytest.raises(NotPositiveDefiniteError):
             cholesky_full(p)
+        p[4, 3] = p[3, 4] = np.nan  # so does a non-finite trailing entry
         pc = cholesky_partial(p, 2)  # must succeed: only pivots 0..1 touched
         assert np.diag(pc.lnn).min() > 0.0
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [((1, 1), np.nan), ((4, 0), np.nan), ((0, 4), np.nan), ((0, 0), np.inf)],
+        ids=["nan-diag", "nan-strip", "nan-leading-row", "inf-diag"],
+    )
+    def test_non_finite_leading_block_rejected(self, rng, entry, value):
+        p = random_spd(rng, 6)
+        p[entry] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            cholesky_partial(p, 2)
 
     def test_failing_pivot_index(self):
         p = np.diag([1.0, -1.0, 1.0])
