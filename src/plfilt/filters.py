@@ -40,8 +40,9 @@ class EstimationModel:
     ``flow`` maps the state to the next state in those same coordinates.
     Only the measurement is stored permuted: ``meas_perm`` gathers the state
     so its nonlinear coordinates lead, and ``measurement`` maps that permuted
-    state to measurement space.  ``q`` and ``r`` are the additive noise
-    covariances in state and measurement coordinates.
+    state to measurement space; both filters match it on the permuted
+    predicted moments.  ``q`` and ``r`` are the additive noise covariances in
+    state and measurement coordinates.
     """
 
     flow: PartiallyLinearFunction
@@ -83,25 +84,6 @@ class EstimationModel:
     @property
     def y_dim(self) -> int:
         return self.measurement.y_dim
-
-    def measurement_function(self):
-        """The measurement in state coordinates."""
-        return _PermutedMap(self.measurement, self.meas_perm)
-
-
-class _PermutedMap:
-    """Adapter evaluating a function stored in permuted coordinates on
-    state-coordinate inputs."""
-
-    def __init__(self, plf: PartiallyLinearFunction, perm: Permutation):
-        self._plf = plf
-        self._idx = perm.indices
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self._plf(np.asarray(x, dtype=float)[self._idx])
-
-    def eval_batch(self, xmat: np.ndarray) -> np.ndarray:
-        return self._plf.eval_batch(np.asarray(xmat, dtype=float)[self._idx])
 
 
 @dataclass(frozen=True)
@@ -155,10 +137,6 @@ def kalman_update(prior: GaussianMoments, joint: JointGaussian, y: np.ndarray) -
     return GaussianMoments(mean=mean, cov=cov)
 
 
-def _symmetrized(p: np.ndarray) -> np.ndarray:
-    return 0.5 * (p + p.T)
-
-
 @contextmanager
 def _phase(step: int, phase: str):
     """Report a library error raised inside one phase of a step as a
@@ -167,6 +145,36 @@ def _phase(step: int, phase: str):
         yield
     except PlfiltError as exc:
         raise FilterStepError(step, phase, str(exc)) from exc
+
+
+def _match_materialized(f, m: np.ndarray, p: np.ndarray, cr: ClassifiedRule) -> JointGaussian:
+    return match_full(f, m, p, cr.base)
+
+
+def _step(
+    state: FilterState, model: EstimationModel, y: np.ndarray, keep_prediction: bool, match
+) -> FilterState:
+    """The predict/update cycle both filters share; ``match(f, m, p, cr)``
+    matches one model function on a classified rule."""
+    k_next = state.k + 1
+    with _phase(k_next, "predict"):
+        jt = match(model.flow, state.mean, state.cov, model.flow_rule)
+    m_pred = jt.m_y
+    p_pred = 0.5 * (jt.p_yy + jt.p_yy.T) + model.q
+
+    m_bar, p_bar = permute_moments(model.meas_perm, m_pred, p_pred)
+    with _phase(k_next, "measure"):
+        jm = match(model.measurement, m_bar, p_bar, model.meas_rule)
+    # only the cross covariance's rows go back to state coordinates
+    p_xy = jm.p_xy[model.meas_perm.inverse.indices]
+    joint = JointGaussian(m_x=m_pred, m_y=jm.m_y, p_xx=p_pred, p_xy=p_xy, p_yy=jm.p_yy + model.r)
+    with _phase(k_next, "update"):
+        post = kalman_update(GaussianMoments(m_pred, p_pred), joint, y)
+        cholesky_full(post.cov)  # the posterior must stay positive definite
+    record = None
+    if keep_prediction:
+        record = PredictionRecord(m_pred, p_pred, joint.m_y, joint.p_yy, p_xy)
+    return FilterState(k=k_next, mean=post.mean, cov=post.cov, prediction=record)
 
 
 def lrkf_step(
@@ -178,28 +186,14 @@ def lrkf_step(
     """One predict/update cycle of the plain sigma-point filter.
 
     Both the flow and the measurement are pushed through the full cubature
-    sums; the stacked model functions are evaluated at every point of the
-    materialized rules.
+    sums; the model functions are evaluated at every point of the
+    materialized rules.  The measurement is matched in the same permuted
+    coordinates as in :func:`pl_lrkf_step`, so both filters use the same
+    sigma points and agree up to roundoff.
     """
-    k_next = state.k + 1
     if model.flow_rule.base is None or model.meas_rule.base is None:
         raise ValueError("the unstructured filter path needs materialized rules")
-    with _phase(k_next, "predict"):
-        jt = match_full(model.flow, state.mean, state.cov, model.flow_rule.base)
-    m_pred = jt.m_y
-    p_pred = _symmetrized(jt.p_yy) + model.q
-    with _phase(k_next, "measure"):
-        jm = match_full(model.measurement_function(), m_pred, p_pred, model.meas_rule.base)
-    joint = JointGaussian(
-        m_x=m_pred, m_y=jm.m_y, p_xx=p_pred, p_xy=jm.p_xy, p_yy=jm.p_yy + model.r
-    )
-    with _phase(k_next, "update"):
-        post = kalman_update(GaussianMoments(m_pred, p_pred), joint, y)
-        cholesky_full(post.cov)  # the posterior must stay positive definite
-    record = None
-    if keep_prediction:
-        record = PredictionRecord(m_pred, p_pred, joint.m_y, joint.p_yy, joint.p_xy)
-    return FilterState(k=k_next, mean=post.mean, cov=post.cov, prediction=record)
+    return _step(state, model, y, keep_prediction, _match_materialized)
 
 
 def pl_lrkf_step(
@@ -212,33 +206,12 @@ def pl_lrkf_step(
 
     The flow is matched in state coordinates, where its nonlinear
     coordinates already lead.  The predicted moments are then permuted so
-    the measurement's nonlinear coordinates lead; the measurement match and
-    the conditioning step run in those coordinates, and the posterior is
-    permuted back at the end.  Each match factorizes only the leading
-    columns of its covariance.  On identical rules and models this
-    reproduces :func:`lrkf_step` up to roundoff while evaluating only the
-    nonlinear blocks of the model functions.
+    the measurement's nonlinear coordinates lead, and the measurement is
+    matched there; only the rows of the matched cross covariance are
+    permuted back, and the conditioning step runs in state coordinates.
+    Each match factorizes only the leading columns of its covariance.  This
+    is the same cycle as :func:`lrkf_step` on the same sigma points, so the
+    two agree up to roundoff while this one evaluates only the nonlinear
+    blocks of the model functions.
     """
-    k_next = state.k + 1
-    th = model.meas_perm
-    with _phase(k_next, "predict"):
-        jt = match_pl(model.flow, state.mean, state.cov, model.flow_rule)
-    m_pred = jt.m_y
-    p_pred = _symmetrized(jt.p_yy) + model.q
-
-    m_bar, p_bar = permute_moments(th, m_pred, p_pred)
-    with _phase(k_next, "measure"):
-        jm = match_pl(model.measurement, m_bar, p_bar, model.meas_rule)
-    joint = JointGaussian(
-        m_x=m_bar, m_y=jm.m_y, p_xx=p_bar, p_xy=jm.p_xy, p_yy=jm.p_yy + model.r
-    )
-    with _phase(k_next, "update"):
-        post_bar = kalman_update(GaussianMoments(m_bar, p_bar), joint, y)
-        mean, cov = permute_moments(th.inverse, post_bar.mean, post_bar.cov)
-        cholesky_full(cov)  # the posterior must stay positive definite
-    record = None
-    if keep_prediction:
-        # cross covariance back in state coordinates
-        cross = joint.p_xy[th.inverse.indices]
-        record = PredictionRecord(m_pred, p_pred, joint.m_y, joint.p_yy, cross)
-    return FilterState(k=k_next, mean=mean, cov=cov, prediction=record)
+    return _step(state, model, y, keep_prediction, match_pl)

@@ -26,10 +26,13 @@ def _check_symmetric(block: np.ndarray, mirror: np.ndarray) -> None:
     """Raise ``ValueError`` unless ``block`` and ``mirror`` (the transpose of
     the block on the other side of the diagonal) are finite and agree within
     the symmetry tolerance."""
-    scale = max(float(np.abs(block).max(initial=0.0)), 1.0)
+    scale = float(np.abs(block).max(initial=0.0))
+    if not math.isfinite(scale):  # before inf - inf can warn below
+        raise ValueError("matrix contains non-finite values")
+    scale = max(scale, 1.0)
     asym = float(np.abs(block - mirror).max(initial=0.0))
     if not asym <= SYMMETRY_RTOL * scale:  # NaN fails this test too
-        if not (np.isfinite(block).all() and np.isfinite(mirror).all()):
+        if not np.isfinite(mirror).all():
             raise ValueError("matrix contains non-finite values")
         raise ValueError(
             f"matrix is asymmetric beyond tolerance ({asym:.3e} > {SYMMETRY_RTOL:.0e} * {scale:.3e})"
@@ -169,4 +172,4 @@ def permute_moments(perm: Permutation, m: np.ndarray, p: np.ndarray):
         raise ValueError(
             f"moment shapes {m.shape}/{p.shape} do not match permutation of size {idx.size}"
         )
-    return m[idx], p[np.ix_(idx, idx)]
+    return m[idx], p[idx][:, idx]

@@ -165,7 +165,7 @@ def _mirror_lower(b: np.ndarray) -> np.ndarray:
 
 
 def _eval_columns(f, xmat: np.ndarray) -> np.ndarray:
-    if isinstance(f, PartiallyLinearFunction) or hasattr(f, "eval_batch"):
+    if hasattr(f, "eval_batch"):
         return np.asarray(f.eval_batch(xmat), dtype=float)
     cols = [np.asarray(f(xmat[:, j]), dtype=float) for j in range(xmat.shape[1])]
     return np.column_stack(cols)
@@ -177,7 +177,9 @@ def match_full(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule) -> JointGaus
     ``f`` is evaluated once per integration point (column-wise when it
     exposes ``eval_batch``).  The input covariance must be symmetric positive
     definite; its full lower-triangular Cholesky factor maps the unit-space
-    points into state space.
+    points into state space, so the points depend on the coordinate order of
+    ``m`` and ``p``.  In the order :func:`match_pl` gets (nonlinear
+    coordinates first) both use the same factor and agree up to roundoff.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (rule.dim,):

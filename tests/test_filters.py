@@ -256,6 +256,22 @@ class TestStructuredEquivalence:
             assert (err.value.step, err.value.phase) == (1, "measure")
             assert isinstance(err.value.__cause__, SingularGeometryError)
 
+    def test_filters_agree_on_wrap_episode(self):
+        # an agent's sigma points cross the azimuth branch cut near step 96;
+        # both filters use the same points there, so the wrap error is the
+        # same in both and they still agree to roundoff
+        singer = SingerParams(agents=3)
+        sensor = BearingSensorParams()
+        model = fusion_model(singer, sensor)
+        data = simulate_tracking(singer, sensor, 100, np.random.SeedSequence(entropy=(195, 6)))
+        state = FilterState(k=0, mean=data.init_mean, cov=data.init_cov)
+        for y in data.measurements:
+            plain = lrkf_step(state, model, y)
+            struct = pl_lrkf_step(state, model, y)
+            assert np.abs(plain.mean - struct.mean).max() <= 1e-12 * (1 + np.abs(plain.mean).max())
+            assert np.abs(plain.cov - struct.cov).max() <= 1e-12 * (1 + np.abs(plain.cov).max())
+            state = plain
+
     @pytest.mark.parametrize("step_fn", [lrkf_step, pl_lrkf_step], ids=["lrkf", "pl"])
     def test_non_finite_measurement_rejected(self, step_fn):
         singer = SingerParams(agents=1)

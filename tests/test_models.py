@@ -181,7 +181,7 @@ class TestFusionModel:
         n = 2
         model = fusion_model(SingerParams(agents=n), BearingSensorParams())
         x = rng.standard_normal(9 * n) + 3.0
-        y = model.measurement_function()(x)
+        y = model.measurement(x[model.meas_perm.indices])
         pos = np.concatenate([x[9 * i : 9 * i + 3] for i in range(n)])
         assert np.allclose(y[: 2 * n], stacked_bearings(pos, n))
         assert np.array_equal(y[2 * n :], x)
