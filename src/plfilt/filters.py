@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import blas, lapack
 
 from .cubature import ClassifiedRule
 from .errors import (
@@ -22,7 +22,7 @@ from .errors import (
     NotPositiveDefiniteError,
     PlfiltError,
 )
-from .linalg import Permutation, cholesky_full, permute_moments
+from .linalg import Permutation, cholesky_full, mirror_lower, permute_moments
 from .moments import (
     GaussianMoments,
     JointGaussian,
@@ -114,10 +114,11 @@ class FilterState:
 def kalman_update(prior: GaussianMoments, joint: JointGaussian, y: np.ndarray) -> GaussianMoments:
     """Condition a Gaussian on a measurement via the matched joint moments.
 
-    The gain solves against the Cholesky factor of the innovation covariance
-    (no explicit inverse); the posterior covariance is computed as
-    ``P - K S K^T`` and re-symmetrized.  A misshapen or non-finite
-    measurement raises ``ValueError``.
+    With ``S = L L^T``, one ``dtrtrs`` gives ``W^T = L^-1 P_xy^T`` and
+    ``e = L^-1 (y - m_y)``; the posterior is ``m + W e`` (``dgemv``) and
+    ``P - W W^T`` (one ``dsyrk`` on the lower triangle of ``P``, mirrored,
+    so exactly symmetric).  A misshapen or non-finite ``y`` raises
+    ``ValueError``.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (joint.y_dim,):
@@ -130,11 +131,15 @@ def kalman_update(prior: GaussianMoments, joint: JointGaussian, y: np.ndarray) -
         raise InnovationDegenerateError(
             f"innovation covariance not positive definite (pivot {exc.pivot})"
         ) from exc
-    gain = cho_solve((l, True), joint.p_xy.T).T
-    mean = prior.mean + gain @ (y - joint.m_y)
-    cov = prior.cov - gain @ joint.p_yy @ gain.T
-    cov = 0.5 * (cov + cov.T)
-    return GaussianMoments(mean=mean, cov=cov)
+    x = prior.dim
+    rhs = np.empty((joint.y_dim, x + 1), order="F")
+    rhs[:, :x] = joint.p_xy.T
+    rhs[:, x] = y - joint.m_y
+    sol, _ = lapack.dtrtrs(l, rhs, lower=1, overwrite_b=1)  # positive diagonal: never singular
+    w_t = sol[:, :x]
+    mean = blas.dgemv(1.0, w_t, sol[:, x], beta=1.0, y=prior.mean, trans=1)
+    cov = blas.dsyrk(-1.0, w_t, beta=1.0, c=prior.cov, trans=1, lower=1)
+    return GaussianMoments(mean=mean, cov=mirror_lower(cov))
 
 
 @contextmanager

@@ -1,5 +1,5 @@
-"""Dense symmetric-matrix utilities: full and partial Cholesky factorizations,
-plus index-vector permutations of Gaussian moments.
+"""Dense symmetric-matrix utilities: full and partial Cholesky factors from
+LAPACK, the lower-to-upper triangle mirror, and index-vector permutations.
 
 Permutations are deliberately kept as index vectors and applied as gathers;
 building dense permutation matrices here would defeat their purpose (a
@@ -48,6 +48,21 @@ def _as_symmetric(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
+_STRICT_LOWER_MASKS: dict[int, np.ndarray] = {}
+
+
+def mirror_lower(b: np.ndarray) -> np.ndarray:
+    """Symmetrize by mirroring the lower triangle onto the upper."""
+    n = b.shape[0]
+    mask = _STRICT_LOWER_MASKS.get(n)
+    if mask is None:
+        mask = np.tril(np.ones((n, n), dtype=bool), -1)
+        _STRICT_LOWER_MASKS[n] = mask
+    out = b.copy()
+    out.T[mask] = b[mask]
+    return out
+
+
 def cholesky_full(p: np.ndarray) -> np.ndarray:
     """Lower-triangular factor ``L`` with ``L @ L.T == p``.
 
@@ -89,14 +104,15 @@ class PartialCholesky:
 
 
 def cholesky_partial(p: np.ndarray, z: int) -> PartialCholesky:
-    """Column-wise Cholesky-Crout factorization stopped after ``z`` columns.
+    """The first ``z`` columns of :func:`cholesky_full`, from blocked LAPACK.
 
-    Produces exactly the first ``z`` columns of :func:`cholesky_full` in
-    O(X * z^2) work.  Only the leading ``z`` columns (and their row
-    counterparts, for the symmetry and finiteness check) are ever read, so
-    both the cost and the error reporting are confined to the leading block:
-    an indefiniteness beyond the first ``z`` pivots, or a non-finite entry in
-    the trailing block, goes undetected by design.
+    ``dpotrf`` factors the leading ``z``-by-``z`` block as ``L11``, ``dtrtri``
+    inverts it, and one product gives the trailing rows
+    ``L21 = P21 L11^-T``: O(X * z^2) work.  Only the leading ``z`` columns
+    (and their row counterparts, for the symmetry and finiteness check) are
+    ever read, so both the cost and the error reporting are confined to the
+    leading block: an indefiniteness beyond the first ``z`` pivots, or a
+    non-finite entry in the trailing block, goes undetected by design.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
@@ -109,19 +125,11 @@ def cholesky_partial(p: np.ndarray, z: int) -> PartialCholesky:
     rows_t = p[:z, :].T
     _check_symmetric(strip, rows_t)
     work = 0.5 * (strip + rows_t)  # matches what cholesky_full factors
-    l = np.zeros((x, z))
-    for j in range(z):
-        lj = l[j, :j]
-        d = work[j, j] - lj @ lj if j else work[0, 0]
-        if not d > 0.0:
-            raise NotPositiveDefiniteError(pivot=j)
-        ljj = math.sqrt(d)
-        l[j, j] = ljj
-        if j:
-            l[j + 1 :, j] = (work[j + 1 :, j] - l[j + 1 :, :j] @ lj) / ljj
-        else:
-            l[1:, 0] = work[1:, 0] / ljj
-    return PartialCholesky(z_dim=z, _cols=l)
+    l11, info = lapack.dpotrf(work[:z], lower=1, clean=1)
+    if info > 0:
+        raise NotPositiveDefiniteError(pivot=info - 1)
+    l11_inv, _ = lapack.dtrtri(l11, lower=1)  # positive diagonal: never singular
+    return PartialCholesky(z_dim=z, _cols=np.concatenate((l11, work[z:] @ l11_inv.T)))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .cubature import ClassifiedRule, CubatureRule, unique_nonlinear
-from .linalg import cholesky_full, cholesky_partial
+from .linalg import cholesky_full, cholesky_partial, mirror_lower
 
 
 @dataclass(frozen=True)
@@ -149,21 +149,6 @@ class PartiallyLinearFunction:
         return np.vstack((gz, self.a @ xmat))
 
 
-_STRICT_LOWER_MASKS: dict[int, np.ndarray] = {}
-
-
-def _mirror_lower(b: np.ndarray) -> np.ndarray:
-    """Symmetrize by mirroring the lower triangle onto the upper."""
-    n = b.shape[0]
-    mask = _STRICT_LOWER_MASKS.get(n)
-    if mask is None:
-        mask = np.tril(np.ones((n, n), dtype=bool), -1)
-        _STRICT_LOWER_MASKS[n] = mask
-    out = b.copy()
-    out.T[mask] = b[mask]
-    return out
-
-
 def _eval_columns(f, xmat: np.ndarray) -> np.ndarray:
     if hasattr(f, "eval_batch"):
         return np.asarray(f.eval_batch(xmat), dtype=float)
@@ -268,5 +253,5 @@ def match_pl(
         p_yy[:g_dim, :g_dim] += a_pxy[:n1]
         p_yy[:g_dim, :g_dim] += a_pat[:n1, :n1]
         p_yy[g_dim:, :g_dim] += a_pat[n1:, :n1]
-    p_yy = _mirror_lower(p_yy)  # fills the upper blocks and pins symmetry
+    p_yy = mirror_lower(p_yy)  # fills the upper blocks and pins symmetry
     return JointGaussian(m_x=m, m_y=m_y, p_xx=p, p_xy=p_xy, p_yy=p_yy)

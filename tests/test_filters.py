@@ -118,6 +118,32 @@ class TestKalmanUpdate:
         )
         with pytest.raises(InnovationDegenerateError):
             kalman_update(GaussianMoments(np.zeros(x), np.eye(x)), joint, np.zeros(y))
+        # the failing pivot of S is carried in the message and the cause
+        joint = JointGaussian(
+            m_x=np.zeros(x), m_y=np.zeros(3), p_xx=np.eye(x),
+            p_xy=np.zeros((x, 3)), p_yy=np.diag([2.0, 1.0, -1.0]),
+        )
+        with pytest.raises(InnovationDegenerateError, match="pivot 2") as err:
+            kalman_update(GaussianMoments(np.zeros(x), np.eye(x)), joint, np.zeros(3))
+        assert isinstance(err.value.__cause__, NotPositiveDefiniteError)
+        assert err.value.__cause__.pivot == 2
+
+    @pytest.mark.parametrize("x, y", [(3, 2), (27, 33), (40, 10)])
+    def test_matches_textbook_gain(self, rng, x, y):
+        # a valid joint covariance, so the posterior is a proper Schur complement
+        joint_cov = random_spd(rng, x + y)
+        p, p_xy, p_yy = joint_cov[:x, :x], joint_cov[:x, x:], joint_cov[x:, x:]
+        m = rng.standard_normal(x)
+        m_y = rng.standard_normal(y)
+        meas = m_y + rng.standard_normal(y)
+        joint = JointGaussian(m_x=m, m_y=m_y, p_xx=p, p_xy=p_xy, p_yy=p_yy)
+        post = kalman_update(GaussianMoments(m, p), joint, meas)
+        gain = np.linalg.solve(p_yy, p_xy.T).T
+        mean_ref = m + gain @ (meas - m_y)
+        cov_ref = p - gain @ p_yy @ gain.T
+        assert np.abs(post.mean - mean_ref).max() <= 1e-12 * np.abs(mean_ref).max()
+        assert np.abs(post.cov - cov_ref).max() <= 1e-12 * np.abs(cov_ref).max()
+        assert np.array_equal(post.cov, post.cov.T)
 
 
 class TestLinearReduction:

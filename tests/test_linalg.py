@@ -109,6 +109,35 @@ class TestCholeskyPartial:
         with pytest.raises(ValueError, match="non-finite"):
             cholesky_partial(p, 2)
 
+    @pytest.mark.parametrize(
+        "n, z, pivot",
+        [(9, 5, 0), (9, 5, 2), (9, 5, 4), (90, 80, 0), (90, 80, 40), (90, 80, 79)],
+    )
+    def test_leading_pivot_matches_full(self, rng, n, z, pivot):
+        # pivot `pivot` of the factor becomes exactly -1; the minors before it stay SPD
+        b = np.tril(rng.standard_normal((n, n)), -1) + np.diag(rng.uniform(1.0, 2.0, n))
+        p = b @ b.T
+        p[pivot, pivot] -= b[pivot, pivot] ** 2 + 1.0
+        with pytest.raises(NotPositiveDefiniteError) as full_err:
+            cholesky_full(p)
+        with pytest.raises(NotPositiveDefiniteError) as part_err:
+            cholesky_partial(p, z)
+        assert part_err.value.pivot == full_err.value.pivot == pivot
+
+    @pytest.mark.parametrize("n", [9, 27, 40, 90])
+    def test_ill_conditioned_against_full(self, rng, n):
+        # deviation relative to max|L| stays below 1e-15 * sqrt(cond)
+        for cond in (1e2, 1e4, 1e6, 1e8, 1e10):
+            for _ in range(3):
+                q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+                p = (q * np.logspace(0, -np.log10(cond), n)) @ q.T
+                p = 0.5 * (p + p.T)
+                full = cholesky_full(p)
+                for z in (1, n // 3, n - 1):
+                    lead = full[:, :z]
+                    dev = np.abs(cholesky_partial(p, z).column_block() - lead).max()
+                    assert dev <= 1e-15 * np.sqrt(cond) * np.abs(lead).max()
+
     def test_failing_pivot_index(self):
         p = np.diag([1.0, -1.0, 1.0])
         with pytest.raises(NotPositiveDefiniteError) as err:
