@@ -11,7 +11,13 @@ All three satisfy, up to roundoff: point symmetry (every nonzero point has a
 mirrored twin with equal weight), unit weight sum, and the unit second moment
 ``Xi @ diag(w) @ Xi.T == I``.  Construction keeps the symmetry exact in the
 floating-point sense: a column and its twin are elementwise negations bit for
-bit, which downstream code relies on when it matches points into pairs.
+bit.
+
+The structured moment-matching path needs a different property, which
+:func:`classify` checks: grouped by their leading z-block, the points of every
+group must have a zero weighted sum of trailing coordinates, and the weighted
+z-blocks must sum to zero.  The three families meet it; point symmetry alone
+does not imply it.
 """
 from __future__ import annotations
 
@@ -23,6 +29,10 @@ import numpy as np
 from .errors import PointBudgetExceededError, RootFindingError
 
 DEFAULT_POINT_BUDGET = 10_000_000
+# roundoff bound of the grouping precondition that classify checks, relative
+# to a rule's largest coordinate times its absolute weight sum; the shipped
+# rules at dimensions 1..50 (Gauss-Hermite 1..6) measure at most 7e-17
+SYMMETRY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,6 +73,10 @@ class CubatureRule:
             raise ValueError(
                 f"points shape {pts.shape} inconsistent with dim={self.dim}, {w.size} weights"
             )
+        if w.size == 0:
+            raise ValueError("a rule needs at least one point")
+        if not (np.isfinite(w).all() and np.isfinite(pts).all()):
+            raise ValueError("weights and points must be finite")
         w.flags.writeable = False
         pts.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -196,162 +210,16 @@ def make_rule(
     raise ValueError(f"unknown rule kind {kind.name!r}")
 
 
-def _column_key(col: np.ndarray) -> bytes:
-    # +0.0 collapses -0.0 and 0.0 to the same byte pattern
-    return (col + 0.0).tobytes()
-
-
-def _paired_order(points: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Reorder ``idx`` so the first half holds "positive" columns in
-    lexicographic order and entry ``n/2 + i`` is the exact negation of
-    entry ``i``.  Positivity means the first nonzero coordinate is > 0."""
-    if idx.size == 0:
-        return idx
-    cols = points[:, idx]
-    ncols = cols.shape[1]
-    nonzero = cols != 0.0
-    first = nonzero.argmax(axis=0)
-    lead = cols[first, np.arange(ncols)]
-    pos_local = np.flatnonzero(lead > 0.0)
-    neg_local = np.flatnonzero(lead < 0.0)
-    if pos_local.size != neg_local.size:
-        raise ValueError("point set is not symmetric: unpaired columns")
-    order = np.lexsort(cols[:, pos_local][::-1])  # row 0 is the primary key
-    pos_sorted = pos_local[order]
-    by_key = {_column_key(cols[:, j]): j for j in neg_local}
-    neg_sorted = np.empty(pos_sorted.size, dtype=np.intp)
-    for i, j in enumerate(pos_sorted):
-        partner = by_key.pop(_column_key(-cols[:, j]), None)
-        if partner is None:
-            raise ValueError("point set is not symmetric: missing mirrored column")
-        neg_sorted[i] = partner
-    return np.concatenate((idx[pos_sorted], idx[neg_sorted]))
-
-
-@dataclass(frozen=True)
-class ClassifiedRule:
-    """A cubature rule split by how its points interact with a leading
-    ``z_dim``-coordinate nonlinear block.
-
-    Central points are exactly zero, linear points are zero in the leading
-    ``z_dim`` coordinates only, nonlinear points perturb the leading block.
-    ``n_c``, ``n_z`` and ``n_l`` count the three subsets and ``w_cl`` is the
-    total weight of the central and linear points.  The nonlinear subset is
-    kept as ``idx_z`` (its columns in ``base``), ``w_z`` and ``xi_z``; column
-    ``i`` and column ``n_z/2 + i`` are exact negations carrying equal weights.
-
-    For Gauss-Hermite grids too large to materialize the instance may be
-    "virtual": ``base`` and the nonlinear arrays are ``None`` while the subset
-    counts, ``w_cl`` and the deduplicated nonlinear block (via
-    :func:`unique_nonlinear`) remain available, which is all the structured
-    moment-matching path needs.
-    """
-
-    kind: RuleKind
-    dim: int
-    z_dim: int
-    count: int
-    n_c: int
-    n_z: int
-    n_l: int
-    w_cl: float
-    base: CubatureRule | None = None
-    idx_z: np.ndarray | None = None
-    w_z: np.ndarray | None = None
-    xi_z: np.ndarray | None = None
-
-    def __post_init__(self):
-        for arr in (self.idx_z, self.w_z, self.xi_z):
-            if arr is not None:
-                arr.flags.writeable = False
-
-    @property
-    def materialized(self) -> bool:
-        return self.base is not None
-
-
-def classify(rule: CubatureRule, z: int) -> ClassifiedRule:
-    """Partition a rule's points into central / nonlinear / linear subsets
-    for a nonlinear block spanning the leading ``z`` coordinates."""
-    z = int(z)
-    if not 1 <= z <= rule.dim:
-        raise ValueError(f"z must be in 1..{rule.dim}, got {z}")
-    pts = rule.points
-    zero_col = ~pts.any(axis=0)
-    zero_zblock = ~pts[:z].any(axis=0)
-    n_c = int(zero_col.sum())
-    # the linear subset is only counted, but pairing it checks that it is
-    # symmetric, which the collapsed sums of the structured path rely on
-    n_l = _paired_order(pts, np.flatnonzero(zero_zblock & ~zero_col)).size
-    idx_z = _paired_order(pts, np.flatnonzero(~zero_zblock))
-    w_z = rule.weights[idx_z].copy()
-    return ClassifiedRule(
-        kind=rule.kind,
-        dim=rule.dim,
-        z_dim=z,
-        count=rule.count,
-        n_c=n_c,
-        n_z=idx_z.size,
-        n_l=n_l,
-        w_cl=float(1.0 - w_z.sum()),
-        base=rule,
-        idx_z=idx_z,
-        w_z=w_z,
-        xi_z=pts[:, idx_z].copy(),
-    )
-
-
-def make_classified(
-    kind: RuleKind, dim: int, z: int, point_budget: int = DEFAULT_POINT_BUDGET
-) -> ClassifiedRule:
-    """Classified rule for ``kind`` at dimension ``dim``.
-
-    Gauss-Hermite grids whose full point count exceeds ``point_budget`` are
-    returned in virtual form instead of raising: the structured
-    moment-matching path only ever touches the deduplicated nonlinear block,
-    whose size is governed by ``z``, not ``dim``.
-    """
-    if kind.name != "gh" or kind.order ** int(dim) <= point_budget:
-        return classify(make_rule(kind, dim, point_budget), z)
-    dim = int(dim)
-    z = int(z)
-    if not 1 <= z <= dim:
-        raise ValueError(f"z must be in 1..{dim}, got {z}")
-    p = kind.order
-    count = p**dim
-    l_dim = dim - z
-    if p % 2 == 1:
-        # only odd orders have a zero root, hence zero z-blocks
-        _, w1 = hermite_1d(p)
-        w_mid = float(w1[(p - 1) // 2])
-        w_cl = w_mid**z
-        n_c = 1
-        n_l = p**l_dim - 1
-    else:
-        w_cl = 0.0
-        n_c = 0
-        n_l = 0
-    n_z = count - n_c - n_l
-    return ClassifiedRule(
-        kind=kind,
-        dim=dim,
-        z_dim=z,
-        count=count,
-        n_c=n_c,
-        n_z=n_z,
-        n_l=n_l,
-        w_cl=w_cl,
-    )
-
-
 @dataclass(frozen=True)
 class UniqueRule:
-    """Nonlinear points deduplicated by their leading z-block.
+    """Nonlinear points grouped by their leading z-block, in lexicographic
+    order of the blocks.
 
-    ``points`` holds the distinct leading blocks (one column each);
-    ``weights`` are the summed weights of all parent nonlinear points sharing
-    that block.  The implied full-dimension points have zero trailing
-    coordinates, so the partial Cholesky path always applies to them.
+    ``points`` holds the distinct nonzero leading blocks (one column each);
+    ``weights`` are the summed weights of all points sharing that block.
+    The implied full-dimension points have zero trailing coordinates, so the
+    partial Cholesky path always applies to them; :func:`classify` refuses
+    rules on which dropping the trailing coordinates would change the sums.
     """
 
     points: np.ndarray
@@ -366,40 +234,128 @@ class UniqueRule:
         return self.weights.size
 
 
-def unique_nonlinear(cr: ClassifiedRule) -> UniqueRule:
-    """Merge nonlinear points that share the same leading z-block.
+@dataclass(frozen=True)
+class ClassifiedRule:
+    """A cubature rule split by how its points interact with a leading
+    ``z_dim``-coordinate nonlinear block.
 
-    The result is cached on the classified rule, so repeated calls (one per
-    moment-matching invocation) cost a dictionary lookup.
+    Central points are exactly zero, linear points are zero in the leading
+    ``z_dim`` coordinates only, nonlinear points perturb the leading block.
+    ``n_c``, ``n_z`` and ``n_l`` count the three subsets and ``w_cl`` is the
+    total weight of the central and linear points.  ``unique`` holds the
+    nonlinear points grouped by leading block, which is all the structured
+    moment-matching path reads.
+
+    For Gauss-Hermite grids too large to materialize the instance may be
+    "virtual": ``base`` is ``None`` while the counts, ``w_cl`` and ``unique``
+    remain available.
     """
-    cached = getattr(cr, "_unique_cache", None)
-    if cached is not None:
-        return cached
-    if cr.xi_z is not None:
-        zb = cr.xi_z[: cr.z_dim]
-        w = cr.w_z
-        order: list[bytes] = []
-        merged: dict[bytes, float] = {}
-        column: dict[bytes, np.ndarray] = {}
-        for j in range(zb.shape[1]):
-            key = _column_key(zb[:, j])
-            if key in merged:
-                merged[key] += w[j]
-            else:
-                merged[key] = float(w[j])
-                column[key] = zb[:, j] + 0.0
-                order.append(key)
-        points = np.column_stack([column[k] for k in order])
-        weights = np.array([merged[k] for k in order])
-    else:
-        # virtual Gauss-Hermite: the merged weight of a z-block equals its
-        # Z-dimensional grid weight because the trailing-grid weights sum to 1
-        sub = classify(gauss_hermite_rule(cr.z_dim, cr.kind.order), cr.z_dim)
-        points = sub.xi_z.copy()
-        weights = sub.w_z.copy()
-    unique = UniqueRule(points=points, weights=weights)
-    object.__setattr__(cr, "_unique_cache", unique)
-    return unique
+
+    kind: RuleKind
+    dim: int
+    z_dim: int
+    count: int
+    n_c: int
+    n_z: int
+    n_l: int
+    w_cl: float
+    unique: UniqueRule
+    base: CubatureRule | None = None
+
+    @property
+    def materialized(self) -> bool:
+        return self.base is not None
+
+
+def classify(rule: CubatureRule, z: int) -> ClassifiedRule:
+    """Partition a rule's points into central / nonlinear / linear subsets
+    for a nonlinear block spanning the leading ``z`` coordinates, and group
+    the nonlinear points by leading block.
+
+    The structured path replaces each group by its leading block and its
+    summed weight, and the central and linear points by their summed weight
+    alone.  That is exact only when every group (the zero-block group
+    included) has a zero weighted sum of trailing coordinates and the
+    weighted leading blocks sum to zero.  Point symmetry does not imply
+    this, so it is checked here: a rule whose largest such sum exceeds
+    ``SYMMETRY_RTOL`` times its largest coordinate times its absolute weight
+    sum raises ``ValueError``.
+    """
+    z = int(z)
+    if not 1 <= z <= rule.dim:
+        raise ValueError(f"z must be in 1..{rule.dim}, got {z}")
+    w = rule.weights
+    zb = rule.points[:z] + 0.0  # +0.0 collapses -0.0 into 0.0
+    order = np.lexsort(zb[::-1])  # row 0 is the primary key
+    zb = zb[:, order]
+    starts = np.flatnonzero(np.r_[True, (zb[:, 1:] != zb[:, :-1]).any(axis=0)])
+    w_sorted = w[order]
+    group_w = np.add.reduceat(w_sorted, starts)
+    sums = np.add.reduceat(rule.points[:, order] * w_sorted, starts, axis=1)
+    dev = max(np.abs(sums[z:]).max(initial=0.0), np.abs(sums[:z].sum(axis=1)).max())
+    scale = np.abs(rule.points).max() * np.abs(w).sum()
+    if not dev <= SYMMETRY_RTOL * scale:
+        raise ValueError(
+            f"rule violates the grouping precondition: a weighted trailing or "
+            f"z-block sum deviates by {dev / scale:.2e} relative, "
+            f"above {SYMMETRY_RTOL:.0e}"
+        )
+    heads = zb[:, starts]
+    zero = ~heads.any(axis=0)
+    n_cl = int(np.diff(np.r_[starts, w.size])[zero].sum())
+    n_c = int((~rule.points.any(axis=0)).sum())
+    return ClassifiedRule(
+        kind=rule.kind,
+        dim=rule.dim,
+        z_dim=z,
+        count=rule.count,
+        n_c=n_c,
+        n_z=rule.count - n_cl,
+        n_l=n_cl - n_c,
+        w_cl=float(group_w[zero].sum()),
+        unique=UniqueRule(points=heads[:, ~zero], weights=group_w[~zero]),
+        base=rule,
+    )
+
+
+def make_classified(
+    kind: RuleKind, dim: int, z: int, point_budget: int = DEFAULT_POINT_BUDGET
+) -> ClassifiedRule:
+    """Classified rule for ``kind`` at dimension ``dim``.
+
+    Gauss-Hermite grids whose full point count exceeds ``point_budget`` are
+    returned in virtual form instead of raising: the structured
+    moment-matching path only ever touches the grouped nonlinear points,
+    whose number is governed by ``z``, not ``dim``.  They come from the
+    ``z``-dimensional grid, because the trailing-grid weights sum to one.
+    The grouping precondition needs no check on the full grid: it is
+    symmetric in each coordinate on its own, so every trailing sum is zero.
+    """
+    if kind.name != "gh" or kind.order ** int(dim) <= point_budget:
+        return classify(make_rule(kind, dim, point_budget), z)
+    dim = int(dim)
+    z = int(z)
+    if not 1 <= z <= dim:
+        raise ValueError(f"z must be in 1..{dim}, got {z}")
+    sub = classify(gauss_hermite_rule(z, kind.order), z)
+    count = kind.order**dim
+    n_trailing = kind.order ** (dim - z)
+    return ClassifiedRule(
+        kind=kind,
+        dim=dim,
+        z_dim=z,
+        count=count,
+        n_c=sub.n_c,
+        n_z=count - sub.n_c * n_trailing,
+        n_l=sub.n_c * (n_trailing - 1),
+        w_cl=sub.w_cl,
+        unique=sub.unique,
+    )
+
+
+def unique_nonlinear(cr: ClassifiedRule) -> UniqueRule:
+    """The nonlinear points of ``cr`` grouped by leading z-block."""
+    return cr.unique
 
 
 def rule_checks(rule: CubatureRule):

@@ -7,17 +7,21 @@ import pytest
 
 from plfilt import (
     CubatureRule,
+    PartiallyLinearFunction,
     PointBudgetExceededError,
     RuleKind,
     classify,
     gauss_hermite_rule,
     hermite_1d,
     make_classified,
+    match_full,
+    match_pl,
     rule_checks,
     spherical_rule,
     unique_nonlinear,
     unscented_rule,
 )
+from conftest import random_spd
 
 
 def hermite_recursion(p, x):
@@ -177,18 +181,14 @@ class TestGaussHermite:
 
 
 def subsets(cr):
-    """(weights, points) of the central, nonlinear and linear subsets, the
-    central and linear ones rebuilt from ``cr.base`` and ``cr.idx_z``."""
+    """(weights, points) of the central, nonlinear and linear subsets,
+    rebuilt from ``cr.base``."""
     pts = cr.base.points
     w = cr.base.weights
-    rest = np.setdiff1d(np.arange(cr.count), cr.idx_z)
-    central = rest[~pts[:, rest].any(axis=0)]
-    linear = rest[pts[:, rest].any(axis=0)]
-    return (
-        (w[central], pts[:, central]),
-        (cr.w_z, cr.xi_z),
-        (w[linear], pts[:, linear]),
-    )
+    nonlinear = pts[: cr.z_dim].any(axis=0)
+    central = ~pts.any(axis=0)
+    linear = ~nonlinear & ~central
+    return tuple((w[s], pts[:, s]) for s in (central, nonlinear, linear))
 
 
 def reassembled_pairs(cr):
@@ -256,11 +256,6 @@ class TestClassify:
             assert all(xi_l[:, j].any() for j in range(cr.n_l))
         # nonlinear points perturb the leading block
         assert all(xi_z[:z, j].any() for j in range(cr.n_z))
-        # nonlinear column i and column n/2 + i are exact negations with
-        # equal weights
-        half = w_z.size // 2
-        assert np.array_equal(xi_z[:, :half], -xi_z[:, half:] + 0.0)
-        assert np.array_equal(w_z[:half], w_z[half:])
         # the linear subset is closed under exact negation, weights included
         assert np.array_equal(sorted_columns(w_l, xi_l), sorted_columns(w_l, -xi_l + 0.0))
 
@@ -295,8 +290,80 @@ class TestClassify:
     def test_deterministic(self):
         a = classify(gauss_hermite_rule(3, 3), 2)
         b = classify(gauss_hermite_rule(3, 3), 2)
-        assert np.array_equal(a.xi_z, b.xi_z)
-        assert np.array_equal(a.w_z, b.w_z)
+        assert np.array_equal(a.unique.points, b.unique.points)
+        assert np.array_equal(a.unique.weights, b.unique.weights)
+
+
+class TestGroupingPrecondition:
+    """``classify`` accepts exactly the rules on which merging the points
+    that share a leading block keeps the structured sums exact."""
+
+    @staticmethod
+    def roadmap_rule():
+        # point symmetric with unit weight sum and second moment, yet the
+        # z-group at 1 has trailing sum sqrt(1.5)/6
+        s = np.sqrt(1.5)
+        half = np.array([[1.0, 1.0, 2.0], [s, 0.0, -2.0 * s]])
+        points = np.hstack((np.zeros((2, 1)), half, -half + 0.0))
+        weights = np.array([1 / 4] + [1 / 6, 1 / 6, 1 / 24] * 2)
+        return CubatureRule(dim=2, weights=weights, points=points, kind=RuleKind("sc"))
+
+    @staticmethod
+    def asymmetric_rule():
+        # 1-D points (-2, 0, 1) tensored with the 3-point Gauss-Hermite rule:
+        # no point has a mirrored twin, but every z-group is symmetric in its
+        # trailing coordinate and the weighted z-blocks sum to zero
+        roots, w1 = hermite_1d(3)
+        lead = np.array([-2.0, 0.0, 1.0])
+        w_lead = np.array([1 / 6, 1 / 2, 1 / 3])
+        points = np.vstack((np.repeat(lead, 3), np.tile(roots, 3)))
+        weights = np.outer(w_lead, w1).ravel()
+        return CubatureRule(dim=2, weights=weights, points=points, kind=RuleKind("sc"))
+
+    def test_symmetric_rule_with_asymmetric_groups_refused(self):
+        rule = self.roadmap_rule()
+        w_dev, m_dev, symmetric = rule_checks(rule)
+        assert w_dev <= 1e-15 and m_dev <= 1e-15 and symmetric
+        with pytest.raises(ValueError, match="grouping precondition"):
+            classify(rule, 1)
+
+    def test_asymmetric_rule_meeting_precondition_matches_full(self, rng):
+        rule = self.asymmetric_rule()
+        cr = classify(rule, 1)
+        assert (cr.n_c, cr.n_z, cr.n_l) == (1, 6, 2)
+        assert cr.unique.points.tolist() == [[-2.0, 1.0]]
+        plf = PartiallyLinearFunction(
+            z_dim=1,
+            x_dim=2,
+            g=lambda v: np.sin(3.0 * v),
+            g_dim=1,
+            a=rng.standard_normal((2, 2)),
+        )
+        for _ in range(5):
+            m = rng.standard_normal(2)
+            p = random_spd(rng, 2)
+            jf = match_full(plf, m, p, rule)
+            jp = match_pl(plf, m, p, cr)
+            for block in ("m_y", "p_xy", "p_yy"):
+                assert np.abs(getattr(jf, block) - getattr(jp, block)).max() <= 1e-12
+
+    def test_unique_blocks_in_lexicographic_order(self):
+        uq = classify(gauss_hermite_rule(4, 3), 2).unique
+        keys = [tuple(uq.points[:, j]) for j in range(uq.count)]
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("field", ["weights", "points"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rule_refused(self, field, bad):
+        rule = spherical_rule(3)
+        arrays = {"weights": rule.weights.copy(), "points": rule.points.copy()}
+        arrays[field].flat[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CubatureRule(dim=3, kind=rule.kind, **arrays)
+
+    def test_empty_rule_refused(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            CubatureRule(dim=2, weights=np.empty(0), points=np.empty((2, 0)), kind=RuleKind("sc"))
 
 
 class TestUniqueNonlinear:
@@ -304,7 +371,8 @@ class TestUniqueNonlinear:
         cr = classify(spherical_rule(5), 2)
         uq = unique_nonlinear(cr)
         assert uq.count == 4
-        assert np.array_equal(np.sort(uq.weights), np.sort(cr.w_z))
+        _, (w_z, _), _ = subsets(cr)
+        assert np.array_equal(np.sort(uq.weights), np.sort(w_z))
 
     def test_unscented_no_duplicates(self):
         rule = unscented_rule(4, 1.0, 2.0)
@@ -337,16 +405,17 @@ class TestUniqueNonlinear:
         cr = classify(rule, z)
         uq = unique_nonlinear(cr)
         # independent grouping of the nonlinear points by leading block
+        _, (w_z, xi_z), _ = subsets(cr)
         groups = {}
         for j in range(cr.n_z):
-            key = tuple(cr.xi_z[:z, j])
-            groups[key] = groups.get(key, 0.0) + cr.w_z[j]
+            key = tuple(xi_z[:z, j])
+            groups[key] = groups.get(key, 0.0) + w_z[j]
         assert uq.count == len(groups)
         assert len({tuple(uq.points[:, j]) for j in range(uq.count)}) == uq.count
         for j in range(uq.count):
             key = tuple(uq.points[:, j])
             assert uq.weights[j] == pytest.approx(groups[key], abs=1e-12)
-        assert uq.weights.sum() == pytest.approx(cr.w_z.sum(), abs=1e-12)
+        assert uq.weights.sum() == pytest.approx(w_z.sum(), abs=1e-12)
 
     @pytest.mark.parametrize(
         "p,x,z", [(2, 4, 2), (3, 4, 2), (3, 5, 3), (2, 5, 1)]
