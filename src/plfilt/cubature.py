@@ -17,7 +17,8 @@ The structured moment-matching path needs a different property, which
 :func:`classify` checks: grouped by their leading z-block, the points of every
 group must have a zero weighted sum of trailing coordinates, and the weighted
 z-blocks must sum to zero.  The three families meet it; point symmetry alone
-does not imply it.
+does not imply it.  Its closed-form linear sums also need the unit weight sum
+and second moment, which :func:`classify` checks too.
 """
 from __future__ import annotations
 
@@ -29,9 +30,10 @@ import numpy as np
 from .errors import PointBudgetExceededError, RootFindingError
 
 DEFAULT_POINT_BUDGET = 10_000_000
-# roundoff bound of the grouping precondition that classify checks, relative
-# to a rule's largest coordinate times its absolute weight sum; the shipped
-# rules at dimensions 1..50 (Gauss-Hermite 1..6) measure at most 7e-17
+# roundoff bound of the preconditions that classify checks, relative to a
+# rule's largest coordinate (squared, for the weight sum and second moment)
+# times its absolute weight sum; the shipped rules at dimensions 1..50
+# (Gauss-Hermite 1..6) measure at most 7e-17 and 8.6e-16
 SYMMETRY_RTOL = 1e-12
 
 
@@ -267,6 +269,13 @@ class ClassifiedRule:
         return self.base is not None
 
 
+def _moment_deviations(rule: CubatureRule) -> tuple[float, float]:
+    """Deviations of the weight sum from 1 and of the second moment from I."""
+    w = rule.weights
+    second = (rule.points * w) @ rule.points.T
+    return abs(float(w.sum()) - 1.0), float(np.abs(second - np.eye(rule.dim)).max())
+
+
 def classify(rule: CubatureRule, z: int) -> ClassifiedRule:
     """Partition a rule's points into central / nonlinear / linear subsets
     for a nonlinear block spanning the leading ``z`` coordinates, and group
@@ -279,7 +288,11 @@ def classify(rule: CubatureRule, z: int) -> ClassifiedRule:
     weighted leading blocks sum to zero.  Point symmetry does not imply
     this, so it is checked here: a rule whose largest such sum exceeds
     ``SYMMETRY_RTOL`` times its largest coordinate times its absolute weight
-    sum raises ``ValueError``.
+    sum raises ``ValueError``.  The closed-form linear sums of the structured
+    path also assume a unit weight sum and a unit second moment, so a rule
+    whose weight sum deviates from 1, or whose second moment deviates from
+    ``I``, by more than ``SYMMETRY_RTOL`` times its squared largest
+    coordinate times its absolute weight sum is refused as well.
     """
     z = int(z)
     if not 1 <= z <= rule.dim:
@@ -293,11 +306,20 @@ def classify(rule: CubatureRule, z: int) -> ClassifiedRule:
     group_w = np.add.reduceat(w_sorted, starts)
     sums = np.add.reduceat(rule.points[:, order] * w_sorted, starts, axis=1)
     dev = max(np.abs(sums[z:]).max(initial=0.0), np.abs(sums[:z].sum(axis=1)).max())
-    scale = np.abs(rule.points).max() * np.abs(w).sum()
+    xi_max = np.abs(rule.points).max()
+    scale = xi_max * np.abs(w).sum()
     if not dev <= SYMMETRY_RTOL * scale:
         raise ValueError(
             f"rule violates the grouping precondition: a weighted trailing or "
             f"z-block sum deviates by {dev / scale:.2e} relative, "
+            f"above {SYMMETRY_RTOL:.0e}"
+        )
+    dev = max(_moment_deviations(rule))
+    scale *= xi_max
+    if not dev <= SYMMETRY_RTOL * scale:
+        raise ValueError(
+            f"rule violates the moment precondition: the weight sum or the "
+            f"second moment deviates from 1 or I by {dev / scale:.2e} relative, "
             f"above {SYMMETRY_RTOL:.0e}"
         )
     heads = zb[:, starts]
@@ -365,11 +387,8 @@ def rule_checks(rule: CubatureRule):
     symmetry flag is an exact multiset comparison of the nonzero columns
     against their negations.
     """
-    w = rule.weights
+    weight_dev, moment_dev = _moment_deviations(rule)
     pts = rule.points
-    weight_dev = abs(float(w.sum()) - 1.0)
-    second = (pts * w) @ pts.T
-    moment_dev = float(np.abs(second - np.eye(rule.dim)).max())
     nonzero = pts[:, pts.any(axis=0)]
     a = nonzero[:, np.lexsort(nonzero[::-1])]
     neg = -nonzero + 0.0

@@ -81,25 +81,13 @@ def cholesky_full(p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PartialCholesky:
-    """First ``z_dim`` columns of a lower-triangular Cholesky factor.
+    """First Z columns of a lower-triangular Cholesky factor, stored as one
+    (X, Z) block whose leading Z rows are lower triangular."""
 
-    The (X, Z) block is stored once; ``lnn`` views its rows ``0..z_dim`` (a
-    lower-triangular Z-by-Z block) and ``lln`` the remaining rows.
-    """
-
-    z_dim: int
     _cols: np.ndarray
 
-    @property
-    def lnn(self) -> np.ndarray:
-        return self._cols[: self.z_dim]
-
-    @property
-    def lln(self) -> np.ndarray:
-        return self._cols[self.z_dim :]
-
     def column_block(self) -> np.ndarray:
-        """The stacked (X, Z) block ``[lnn; lln]``."""
+        """The (X, Z) block: the factor's leading Z columns."""
         return self._cols
 
 
@@ -129,7 +117,7 @@ def cholesky_partial(p: np.ndarray, z: int) -> PartialCholesky:
     if info > 0:
         raise NotPositiveDefiniteError(pivot=info - 1)
     l11_inv, _ = lapack.dtrtri(l11, lower=1)  # positive diagonal: never singular
-    return PartialCholesky(z_dim=z, _cols=np.concatenate((l11, work[z:] @ l11_inv.T)))
+    return PartialCholesky(_cols=np.concatenate((l11, work[z:] @ l11_inv.T)))
 
 
 @dataclass(frozen=True)

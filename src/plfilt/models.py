@@ -200,15 +200,15 @@ def stacked_bearings_batch(positions: np.ndarray, n_agents: int) -> np.ndarray:
     z = np.asarray(positions, dtype=float)
     if z.shape[0] != 3 * n_agents:
         raise ValueError(f"expected {3 * n_agents} rows, got {z.shape[0]}")
-    out = np.empty((2 * n_agents, z.shape[1]))
-    for i in range(n_agents):
-        px, py, pz = z[3 * i], z[3 * i + 1], z[3 * i + 2]
-        horiz = np.hypot(px, py)
-        if np.any(np.hypot(horiz, pz) < MIN_RANGE):
-            raise SingularGeometryError("a point is at the base station; bearings undefined")
-        out[2 * i] = np.arctan2(py, px)
-        out[2 * i + 1] = np.arctan2(horiz, pz)
-    return out
+    m = z.shape[1]
+    px, py, pz = z.reshape(n_agents, 3, m).transpose(1, 0, 2)  # each (N, m)
+    horiz = np.hypot(px, py)
+    if np.any(np.hypot(horiz, pz) < MIN_RANGE):
+        raise SingularGeometryError("a point is at the base station; bearings undefined")
+    out = np.empty((n_agents, 2, m))
+    np.arctan2(py, px, out=out[:, 0])
+    np.arctan2(horiz, pz, out=out[:, 1])
+    return out.reshape(2 * n_agents, m)
 
 
 @dataclass(frozen=True)
@@ -241,23 +241,18 @@ def position_front_permutation(n_agents: int) -> Permutation:
     return Permutation(np.array(front + back, dtype=np.intp))
 
 
-def fusion_model(
-    singer: SingerParams,
-    sensor: BearingSensorParams,
-    rule_builder=None,
-) -> EstimationModel:
+def fusion_model(singer: SingerParams, sensor: BearingSensorParams) -> EstimationModel:
     """The base-station fusion model: linear Singer flow plus a measurement
     stacking 2N bearing angles over the N transmitted 9-state estimates.
 
-    ``rule_builder`` maps a dimension to a cubature rule (default spherical).
-    The flow lives in state coordinates: it is fully linear, represented
-    with a single-coordinate nonlinear stub (see below) so the structured
-    path runs unmodified.  Only the measurement is permuted: it is stored in
-    position-first coordinates, where it has the required leading-nonlinear
-    form with Z = 3N.
+    Both parts use one spherical rule at the state dimension, classified for
+    each part's nonlinear block.  The flow lives in state coordinates: it is
+    fully linear, represented with a single-coordinate nonlinear stub (see
+    below) so the structured path runs unmodified.  Only the measurement is
+    permuted: it is stored in position-first coordinates, where it has the
+    required leading-nonlinear form with Z = 3N.  Both ``g`` maps work
+    column-wise, as :class:`PartiallyLinearFunction` requires.
     """
-    if rule_builder is None:
-        rule_builder = spherical_rule
     n = singer.agents
     x_dim = 9 * n
     a_full, q_full = singer_model(singer)
@@ -269,13 +264,7 @@ def fusion_model(
     a1 = a_full[0:1].copy()
     a1[0, 0] = 0.0
     flow = PartiallyLinearFunction(
-        z_dim=1,
-        x_dim=x_dim,
-        g=lambda z: a11 * z,
-        g_dim=1,
-        a=a_full[1:],
-        a1=a1,
-        g_batch=lambda z: a11 * z,
+        z_dim=1, x_dim=x_dim, g=lambda z: a11 * z, g_dim=1, a=a_full[1:], a1=a1
     )
 
     t_h = position_front_permutation(n)
@@ -283,10 +272,9 @@ def fusion_model(
     measurement = PartiallyLinearFunction(
         z_dim=3 * n,
         x_dim=x_dim,
-        g=lambda z: stacked_bearings(z, n),
+        g=lambda z: stacked_bearings_batch(z, n),
         g_dim=2 * n,
         a=unscramble,
-        g_batch=lambda z: stacked_bearings_batch(z, n),
     )
 
     r_alpha = sensor.sigma_alpha**2 * np.eye(2 * n)
@@ -296,14 +284,15 @@ def fusion_model(
     r[: 2 * n, : 2 * n] = r_alpha
     r[2 * n :, 2 * n :] = r_x
 
+    rule = spherical_rule(x_dim)
     return EstimationModel(
         flow=flow,
         q=q_full,
-        flow_rule=classify(rule_builder(x_dim), 1),
+        flow_rule=classify(rule, 1),
         measurement=measurement,
         r=r,
         meas_perm=t_h,
-        meas_rule=classify(rule_builder(x_dim), 3 * n),
+        meas_rule=classify(rule, 3 * n),
     )
 
 
@@ -323,15 +312,10 @@ def benchmark_function(z: int, l: int, seed) -> PartiallyLinearFunction:
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((l, z + l))
 
-    def g(v):
-        return v + np.dot(v, v)
-
-    def g_batch(vmat):
+    def g(vmat):
         return vmat + np.sum(vmat * vmat, axis=0, keepdims=True)
 
-    return PartiallyLinearFunction(
-        z_dim=z, x_dim=z + l, g=g, g_dim=z, a=a, g_batch=g_batch
-    )
+    return PartiallyLinearFunction(z_dim=z, x_dim=z + l, g=g, g_dim=z, a=a)
 
 
 # ---------------------------------------------------------------------------

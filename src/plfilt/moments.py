@@ -8,10 +8,11 @@ Gaussian input and a function output:
 * :func:`match_pl` exploits the structure ``y = [A1 x + g(z); A x]``
   (nonlinear in the leading ``z`` coordinates only, ``A1`` optional): with a
   lower-triangular square root, points that do not perturb the leading block
-  all map to ``g`` of the input z-mean, so their contributions collapse into
-  closed form.  ``g`` is evaluated only at the mean plus the deduplicated
-  nonlinear points, and only the leading ``z`` columns of the Cholesky factor
-  of the input covariance are needed.
+  all map to ``g`` of the input z-mean, so they act as one zero point
+  carrying their summed weight.  ``g`` is evaluated only at that point plus
+  the deduplicated nonlinear points, in one column-wise call, and only the
+  leading ``z`` columns of the Cholesky factor of the input covariance are
+  needed; the linear rows have closed-form sums.
 """
 from __future__ import annotations
 
@@ -68,10 +69,10 @@ class PartiallyLinearFunction:
     of ``x``, or ``y = [A1 x + g(z); A2 x]`` when ``a1`` is given (then ``a``
     plays the role of A2).
 
-    ``g_batch``, when provided, must evaluate ``g`` column-wise on a
-    ``(z_dim, n)`` matrix; it is used to keep large point sets vectorized.
-    Every conceptual evaluation of ``g`` — one per point — is tallied in
-    ``g_eval_count``.
+    ``g`` works column-wise: it maps a ``(z_dim, n)`` matrix of points to the
+    ``(g_dim, n)`` matrix of their images, and any other output shape is
+    refused with ``ValueError``.  Every evaluation of ``g`` — one per
+    column — is tallied in ``g_eval_count``.
     """
 
     def __init__(
@@ -82,7 +83,6 @@ class PartiallyLinearFunction:
         g_dim: int,
         a: np.ndarray,
         a1: np.ndarray | None = None,
-        g_batch: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         self.z_dim = int(z_dim)
         self.x_dim = int(x_dim)
@@ -103,7 +103,6 @@ class PartiallyLinearFunction:
         # the linear rows [A1; A] that match_pl runs its sums on, stacked once
         self._a_stack = a if a1 is None else np.vstack((a1, a))
         self._g = g
-        self._g_batch = g_batch
         self.g_eval_count = 0
 
     @property
@@ -113,33 +112,20 @@ class PartiallyLinearFunction:
     def reset_g_eval_count(self):
         self.g_eval_count = 0
 
-    def eval_g(self, z: np.ndarray) -> np.ndarray:
-        self.g_eval_count += 1
-        out = np.asarray(self._g(np.asarray(z, dtype=float)), dtype=float)
-        if out.shape != (self.g_dim,):
-            raise ValueError(f"g returned shape {out.shape}, expected ({self.g_dim},)")
-        return out
-
     def eval_g_batch(self, zmat: np.ndarray) -> np.ndarray:
         zmat = np.asarray(zmat, dtype=float)
         n = zmat.shape[1]
         self.g_eval_count += n
-        if self._g_batch is not None:
-            out = np.asarray(self._g_batch(zmat), dtype=float)
-        else:
-            out = np.empty((self.g_dim, n))
-            for j in range(n):
-                out[:, j] = self._g(zmat[:, j])
+        out = np.asarray(self._g(zmat), dtype=float)
         if out.shape != (self.g_dim, n):
-            raise ValueError(f"batched g returned shape {out.shape}, expected ({self.g_dim}, {n})")
+            raise ValueError(
+                f"g returned shape {out.shape} for a {zmat.shape} input, expected "
+                f"({self.g_dim}, {n}): g must map a (z_dim, n) matrix column-wise"
+            )
         return out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        gz = self.eval_g(x[: self.z_dim])
-        if self.a1 is not None:
-            gz = gz + self.a1 @ x
-        return np.concatenate((gz, self.a @ x))
+        return self.eval_batch(np.asarray(x, dtype=float)[:, None])[:, 0]
 
     def eval_batch(self, xmat: np.ndarray) -> np.ndarray:
         xmat = np.asarray(xmat, dtype=float)
@@ -191,9 +177,13 @@ def match_pl(
 ) -> JointGaussian:
     """Structured moment matching for ``y = [A1 x + g(z); A x]``.
 
-    Evaluates ``g`` once at the input z-mean plus once per deduplicated
-    nonlinear point and factorizes only the leading ``z`` columns of the input
-    covariance.  The collapsed sums run on the stacked linear rows ``[A1; A]``;
+    The sums run on one weighted point set in unit space: column 0 is the
+    zero point, standing for every central and linear point (they all map to
+    the input z-mean) with their summed weight ``cr.w_cl``, and the other
+    columns are the nonlinear points grouped by leading block.  ``g`` is
+    evaluated once per column, ``1 + n`` times in one call, and only the
+    leading ``z`` columns of the input covariance's Cholesky factor are
+    needed.  The closed-form linear sums run on the stacked rows ``[A1; A]``;
     the ``A1`` block is then folded onto the ``g`` block.
     """
     if plf.x_dim != cr.dim:
@@ -205,45 +195,32 @@ def match_pl(
         raise ValueError(f"mean shape {m.shape} does not match dimension {cr.dim}")
     z = cr.z_dim
 
-    # deduplicated leading blocks; their trailing coordinates are zero, so the
-    # first z columns of the Cholesky factor map them into state space
+    # trailing coordinates are zero in every column, so the first z columns
+    # of the Cholesky factor map the points into state space
     uq = unique_nonlinear(cr)
-    s_z = uq.points
-    w_z = uq.weights
-    pc = cholesky_partial(p, z)
-    l_xi = pc.column_block() @ s_z  # (X, n)
-
-    m_z = m[:z]
-    # one batched call: column 0 is the z-mean (evaluated once, reused below),
-    # the rest are the nonlinear points
-    zpts = np.empty((z, s_z.shape[1] + 1))
-    zpts[:, 0] = m_z
-    zpts[:, 1:] = m_z[:, None] + pc.lnn @ s_z
-    g_all = plf.eval_g_batch(zpts)
-    g0 = g_all[:, 0]
-    g_z = g_all[:, 1:]
+    s = np.zeros((z, 1 + uq.count))
+    s[:, 1:] = uq.points
+    w = np.concatenate(([cr.w_cl], uq.weights))
+    l_xi = cholesky_partial(p, z).column_block() @ s  # (X, 1 + n), column 0 zero
+    g_all = plf.eval_g_batch(m[:z, None] + l_xi[:z])
+    m_g = g_all @ w
+    dg = g_all - m_g[:, None]
+    pxy_nl = (l_xi * w) @ dg.T  # (X, G)
+    p_gg = (dg * w) @ dg.T
 
     a = plf._a_stack
     n1 = a.shape[0] - plf.a.shape[0]  # rows of A1, folded onto the g block
-    w_cl = cr.w_cl
-    top = w_cl * g0 + g_z @ w_z
     a_m = a @ m
-
-    u = -top
-    u_l = g0 + u
-    gc = g_z + u[:, None]  # = G_z + C_z with C_z = u 1^T
-
     p = np.asarray(p, dtype=float)
     p_at = p @ a.T
-    pxy_nl = (l_xi * w_z) @ g_z.T  # (X, G)
     a_pxy = a @ pxy_nl
     a_pat = a @ p_at
 
     g_dim = plf.g_dim
-    m_y = np.concatenate((top, a_m[n1:]))
+    m_y = np.concatenate((m_g, a_m[n1:]))
     p_xy = np.hstack((pxy_nl, p_at[:, n1:]))
     p_yy = np.empty((plf.y_dim, plf.y_dim))
-    p_yy[:g_dim, :g_dim] = (gc * w_z) @ gc.T + w_cl * np.outer(u_l, u_l)
+    p_yy[:g_dim, :g_dim] = p_gg
     p_yy[g_dim:, :g_dim] = a_pxy[n1:]
     p_yy[g_dim:, g_dim:] = a_pat[n1:, n1:]
     if n1:

@@ -347,6 +347,25 @@ class TestGroupingPrecondition:
             for block in ("m_y", "p_xy", "p_yy"):
                 assert np.abs(getattr(jf, block) - getattr(jp, block)).max() <= 1e-12
 
+    @pytest.mark.parametrize(
+        "weight_scale, point_scale",
+        [(0.5, np.sqrt(2.0)), (1.0, 1.1)],
+        ids=["half-weights", "scaled-points"],
+    )
+    def test_non_unit_moments_refused(self, weight_scale, point_scale):
+        # symmetric and grouped correctly, but the weight sum (0.5) or the
+        # second moment (1.21 I) is off, which the closed-form linear sums
+        # of match_pl cannot see
+        base = spherical_rule(5)
+        rule = CubatureRule(
+            dim=5,
+            weights=weight_scale * base.weights,
+            points=point_scale * base.points,
+            kind=base.kind,
+        )
+        with pytest.raises(ValueError, match="moment precondition"):
+            classify(rule, 2)
+
     def test_unique_blocks_in_lexicographic_order(self):
         uq = classify(gauss_hermite_rule(4, 3), 2).unique
         keys = [tuple(uq.points[:, j]) for j in range(uq.count)]

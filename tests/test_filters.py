@@ -48,7 +48,6 @@ def linear_stub(mat):
     a1[0, 0] = 0.0
     return PartiallyLinearFunction(
         z_dim=1, x_dim=x, g=lambda z: lead * z, g_dim=1, a=mat[1:], a1=a1,
-        g_batch=lambda z: lead * z,
     )
 
 
@@ -201,7 +200,6 @@ class TestStructuredEquivalence:
             z_dim=x_dim, x_dim=x_dim,
             g=lambda v: v + 0.1 * np.tanh(v), g_dim=x_dim,
             a=np.zeros((0, x_dim)),
-            g_batch=lambda v: v + 0.1 * np.tanh(v),
         )
         meas = PartiallyLinearFunction(
             z_dim=x_dim, x_dim=x_dim,

@@ -67,16 +67,14 @@ class TestCholeskyPartial:
 
     def test_identity(self):
         pc = cholesky_partial(np.eye(5), 2)
-        assert np.array_equal(pc.lnn, np.eye(2))
-        assert np.array_equal(pc.lln, np.zeros((3, 2)))
+        assert np.array_equal(pc.column_block(), np.eye(5)[:, :2])
 
     def test_matches_leading_columns(self, rng):
         p = random_spd(rng, 8)
         full = cholesky_full(p)
         pc = cholesky_partial(p, 3)
         assert np.abs(pc.column_block() - full[:, :3]).max() <= 1e-13
-        assert pc.lnn.shape == (3, 3)
-        assert pc.lln.shape == (5, 3)
+        assert pc.column_block().shape == (8, 3)
 
     def test_sweep_against_full(self, rng):
         # smaller version of the acceptance sweep
@@ -96,7 +94,7 @@ class TestCholeskyPartial:
             cholesky_full(p)
         p[4, 3] = p[3, 4] = np.nan  # so does a non-finite trailing entry
         pc = cholesky_partial(p, 2)  # must succeed: only pivots 0..1 touched
-        assert np.diag(pc.lnn).min() > 0.0
+        assert np.diag(pc.column_block()).min() > 0.0
 
     @pytest.mark.parametrize(
         "entry, value",

@@ -135,11 +135,19 @@ class TestBearing:
             assert abs(a1[1] - a0[1]) <= 1e-12
 
     def test_batch_matches_single(self, rng):
-        n = 3
-        z = rng.uniform(1.0, 5.0, size=(3 * n, 6))
+        # the single-point bearing is the reference; math and numpy may round
+        # atan2 and hypot differently in the last place
+        n = 4
+        z = rng.uniform(-5.0, 5.0, size=(3 * n, 6))
         batch = stacked_bearings_batch(z, n)
+        assert batch.shape == (2 * n, 6)
         for j in range(6):
-            assert np.array_equal(batch[:, j], stacked_bearings(z[:, j], n))
+            for i in range(n):
+                ref = bearing(z[3 * i : 3 * i + 3, j])
+                assert np.abs(batch[2 * i : 2 * i + 2, j] - ref).max() <= 1e-15
+        z[6:9, 4] = 0.0  # agent 2 at the base station in column 4
+        with pytest.raises(SingularGeometryError):
+            stacked_bearings_batch(z, n)
 
 
 class TestFusionModel:
@@ -199,7 +207,7 @@ class TestBenchmarkFunction:
     def test_values_and_seeding(self):
         plf = benchmark_function(2, 3, 123)
         assert np.array_equal(plf(np.zeros(5))[:2], np.zeros(2))
-        assert np.array_equal(plf.eval_g(np.array([1.0, 2.0])), [6.0, 7.0])
+        assert np.array_equal(plf.eval_g_batch(np.array([[1.0], [2.0]])), [[6.0], [7.0]])
         assert np.array_equal(plf.a, benchmark_function(2, 3, 123).a)
         assert plf.a.shape == (3, 5)
 

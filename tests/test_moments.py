@@ -37,7 +37,7 @@ def linear_plf(z, l, a_mat):
     """Whole function linear: g passes the z block through."""
     x = z + l
     return PartiallyLinearFunction(
-        z_dim=z, x_dim=x, g=lambda v: v.copy(), g_dim=z, a=a_mat, g_batch=lambda v: v.copy()
+        z_dim=z, x_dim=x, g=lambda v: v.copy(), g_dim=z, a=a_mat
     )
 
 
@@ -98,17 +98,36 @@ class TestPartiallyLinearFunction:
         assert plf.g_eval_count == 0
 
     def test_batch_matches_loop(self, rng):
-        plf = benchmark_function(3, 4, 2)
+        # oracle per column: y = [v + ||v||^2 1; A x] with v = x[:z]
+        z = 3
+        plf = benchmark_function(z, 4, 2)
         xmat = rng.standard_normal((7, 5))
         batch = plf.eval_batch(xmat)
-        loop = np.column_stack([plf(xmat[:, j]) for j in range(5)])
-        assert np.abs(batch - loop).max() <= 1e-14
+        for j in range(5):
+            x = xmat[:, j]
+            v = x[:z]
+            ref = np.concatenate((v + np.dot(v, v), plf.a @ x))
+            assert np.abs(batch[:, j] - ref).max() <= 1e-14
+            assert np.abs(plf(x) - ref).max() <= 1e-14
+
+    def test_single_point_g_refused(self, rng):
+        # g must map a (z_dim, n) matrix column-wise; a g written for one
+        # point returns the wrong shape and is refused, not looped over
+        plf = PartiallyLinearFunction(
+            z_dim=2, x_dim=3, g=lambda v: np.array([v.sum()]), g_dim=1, a=np.eye(3)
+        )
+        with pytest.raises(ValueError, match=r"expected \(1, 4\)"):
+            plf.eval_g_batch(rng.standard_normal((2, 4)))
+        with pytest.raises(ValueError, match=r"expected \(1, 1\)"):
+            plf(np.ones(3))
+        with pytest.raises(ValueError, match="column-wise"):
+            match_pl(plf, np.zeros(3), np.eye(3), classify(spherical_rule(3), 2))
 
     def test_benchmark_values(self):
         plf = benchmark_function(2, 3, 0)
         assert np.array_equal(plf(np.zeros(5))[:2], np.zeros(2))
-        out = plf.eval_g(np.array([1.0, 2.0]))
-        assert np.array_equal(out, [6.0, 7.0])
+        out = plf.eval_g_batch(np.array([[1.0], [2.0]]))
+        assert np.array_equal(out, [[6.0], [7.0]])
 
     def test_seed_determinism(self):
         a1 = benchmark_function(3, 10, 77).a
@@ -253,7 +272,6 @@ def sin_pre_addition(rng, z, l):
     return PartiallyLinearFunction(
         z_dim=z, x_dim=x, g=lambda v: np.sin(v), g_dim=z,
         a=rng.standard_normal((l, x)), a1=rng.standard_normal((z, x)),
-        g_batch=np.sin,
     )
 
 
@@ -265,8 +283,7 @@ class TestMatchGeneral:
         x = z + l
         base = benchmark_function(z, l, 9)
         with_a1 = PartiallyLinearFunction(
-            z_dim=z, x_dim=x, g=base._g, g_dim=z, a=base.a,
-            a1=np.zeros((z, x)), g_batch=base._g_batch,
+            z_dim=z, x_dim=x, g=base._g, g_dim=z, a=base.a, a1=np.zeros((z, x)),
         )
         cr = classify(spherical_rule(x), z)
         m, p = trial_moments(rng, x)
@@ -282,8 +299,7 @@ class TestMatchGeneral:
         a1 = rng.standard_normal((z, x))
         a2 = rng.standard_normal((3, x))
         plf = PartiallyLinearFunction(
-            z_dim=z, x_dim=x, g=lambda v: np.zeros(z), g_dim=z, a=a2, a1=a1,
-            g_batch=lambda v: np.zeros((z, v.shape[1])),
+            z_dim=z, x_dim=x, g=lambda v: np.zeros_like(v), g_dim=z, a=a2, a1=a1,
         )
         stacked = np.vstack((a1, a2))
         cr = classify(unscented_rule(x, 1.0, 2.0), z)
