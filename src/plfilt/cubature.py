@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,14 @@ class CubatureRule:
     @property
     def count(self) -> int:
         return self.weights.size
+
+    @cached_property
+    def moment_deviations(self) -> tuple[float, float]:
+        """Deviations of the weight sum from 1 and of the second moment from
+        ``I``, computed on first use."""
+        w = self.weights
+        second = (self.points * w) @ self.points.T
+        return abs(float(w.sum()) - 1.0), float(np.abs(second - np.eye(self.dim)).max())
 
 
 def spherical_rule(x: int) -> CubatureRule:
@@ -269,13 +278,6 @@ class ClassifiedRule:
         return self.base is not None
 
 
-def _moment_deviations(rule: CubatureRule) -> tuple[float, float]:
-    """Deviations of the weight sum from 1 and of the second moment from I."""
-    w = rule.weights
-    second = (rule.points * w) @ rule.points.T
-    return abs(float(w.sum()) - 1.0), float(np.abs(second - np.eye(rule.dim)).max())
-
-
 def classify(rule: CubatureRule, z: int) -> ClassifiedRule:
     """Partition a rule's points into central / nonlinear / linear subsets
     for a nonlinear block spanning the leading ``z`` coordinates, and group
@@ -292,7 +294,8 @@ def classify(rule: CubatureRule, z: int) -> ClassifiedRule:
     path also assume a unit weight sum and a unit second moment, so a rule
     whose weight sum deviates from 1, or whose second moment deviates from
     ``I``, by more than ``SYMMETRY_RTOL`` times its squared largest
-    coordinate times its absolute weight sum is refused as well.
+    coordinate times its absolute weight sum is refused as well; those two
+    deviations are computed once per rule and cached on it.
     """
     z = int(z)
     if not 1 <= z <= rule.dim:
@@ -314,7 +317,7 @@ def classify(rule: CubatureRule, z: int) -> ClassifiedRule:
             f"z-block sum deviates by {dev / scale:.2e} relative, "
             f"above {SYMMETRY_RTOL:.0e}"
         )
-    dev = max(_moment_deviations(rule))
+    dev = max(rule.moment_deviations)
     scale *= xi_max
     if not dev <= SYMMETRY_RTOL * scale:
         raise ValueError(
@@ -387,7 +390,7 @@ def rule_checks(rule: CubatureRule):
     symmetry flag is an exact multiset comparison of the nonzero columns
     against their negations.
     """
-    weight_dev, moment_dev = _moment_deviations(rule)
+    weight_dev, moment_dev = rule.moment_deviations
     pts = rule.points
     nonzero = pts[:, pts.any(axis=0)]
     a = nonzero[:, np.lexsort(nonzero[::-1])]

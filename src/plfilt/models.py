@@ -251,7 +251,10 @@ def fusion_model(singer: SingerParams, sensor: BearingSensorParams) -> Estimatio
     below) so the structured path runs unmodified.  Only the measurement is
     permuted: it is stored in position-first coordinates, where it has the
     required leading-nonlinear form with Z = 3N.  Both ``g`` maps work
-    column-wise, as :class:`PartiallyLinearFunction` requires.
+    column-wise, as :class:`PartiallyLinearFunction` requires.  The linear
+    blocks are passed as dense matrices, and the function applies each in
+    its cheapest exact form: the flow's ``kron(I_N, A_agent)`` rows as 9x9
+    diagonal blocks, the measurement's ``unscramble`` as a row gather.
     """
     n = singer.agents
     x_dim = 9 * n

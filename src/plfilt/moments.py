@@ -16,6 +16,7 @@ Gaussian input and a function output:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -73,6 +74,15 @@ class PartiallyLinearFunction:
     ``(g_dim, n)`` matrix of their images, and any other output shape is
     refused with ``ValueError``.  Every evaluation of ``g`` — one per
     column — is tallied in ``g_eval_count``.
+
+    The linear rows ``[A1; A]`` are applied in one of three exact forms,
+    picked once here from the matrix itself: a row gather when every row
+    holds a single 1 and zeros elsewhere; a batched product of diagonal
+    ``b x b`` blocks when the matrix is square and, for the smallest ``b``
+    dividing ``x_dim`` that allows it, every nonzero lies in such a block;
+    the dense product otherwise.  The forms agree only on finite maps, so
+    non-finite entries in ``a`` or ``a1`` are refused, and both are kept as
+    read-only copies, so the form stays in step with them.
     """
 
     def __init__(
@@ -89,19 +99,26 @@ class PartiallyLinearFunction:
         self.g_dim = int(g_dim)
         if not 1 <= self.z_dim <= self.x_dim:
             raise ValueError(f"z_dim must be in 1..{self.x_dim}, got {z_dim}")
-        a = np.asarray(a, dtype=float)
+        a = np.array(a, dtype=float)
         if a.ndim != 2 or a.shape[1] != self.x_dim:
             raise ValueError(f"linear map shape {a.shape} inconsistent with x_dim={x_dim}")
+        if not np.isfinite(a).all():
+            raise ValueError("linear map contains non-finite values")
         if a1 is not None:
-            a1 = np.asarray(a1, dtype=float)
+            a1 = np.array(a1, dtype=float)
             if a1.shape != (self.g_dim, self.x_dim):
                 raise ValueError(
                     f"pre-addition map must be ({self.g_dim}, {self.x_dim}), got {a1.shape}"
                 )
+            if not np.isfinite(a1).all():
+                raise ValueError("pre-addition map contains non-finite values")
+            a1.flags.writeable = False
+        a.flags.writeable = False
         self.a = a
         self.a1 = a1
-        # the linear rows [A1; A] that match_pl runs its sums on, stacked once
-        self._a_stack = a if a1 is None else np.vstack((a1, a))
+        # M -> [A1; A] @ M, and the number of leading A1 rows folded onto g
+        self._apply = _linear_form(a if a1 is None else np.vstack((a1, a)))
+        self._n1 = 0 if a1 is None else self.g_dim
         self._g = g
         self.g_eval_count = 0
 
@@ -130,9 +147,32 @@ class PartiallyLinearFunction:
     def eval_batch(self, xmat: np.ndarray) -> np.ndarray:
         xmat = np.asarray(xmat, dtype=float)
         gz = self.eval_g_batch(xmat[: self.z_dim])
-        if self.a1 is not None:
-            gz = gz + self.a1 @ xmat
-        return np.vstack((gz, self.a @ xmat))
+        ax = self._apply(xmat)
+        if self._n1:
+            gz = gz + ax[: self._n1]
+        return np.vstack((gz, ax[self._n1 :]))
+
+
+def _block_diagonal(blocks: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    n, b, _ = blocks.shape
+    return (blocks @ mat.reshape(n, b, -1)).reshape(mat.shape)
+
+
+def _linear_form(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``M -> a @ M`` for a vector or a matrix ``M``, in the cheapest exact
+    form the finite matrix ``a`` admits (see :class:`PartiallyLinearFunction`)."""
+    rows, cols = np.nonzero(a)  # row-major, so one nonzero per row gives rows 0..n-1
+    if np.array_equal(rows, np.arange(a.shape[0])) and (a[rows, cols] == 1.0).all():
+        return functools.partial(np.take, indices=cols, axis=0)
+    x = a.shape[1]
+    if a.shape[0] == x:
+        # a block must be wider than the farthest nonzero is from the diagonal
+        for b in range(int(np.abs(rows - cols).max(initial=0)) + 1, x):
+            if x % b == 0 and np.array_equal(rows // b, cols // b):
+                n = x // b
+                diag = np.arange(n)
+                return functools.partial(_block_diagonal, a.reshape(n, b, n, b)[diag, :, diag])
+    return functools.partial(np.matmul, a)
 
 
 def _eval_columns(f, xmat: np.ndarray) -> np.ndarray:
@@ -183,8 +223,10 @@ def match_pl(
     columns are the nonlinear points grouped by leading block.  ``g`` is
     evaluated once per column, ``1 + n`` times in one call, and only the
     leading ``z`` columns of the input covariance's Cholesky factor are
-    needed.  The closed-form linear sums run on the stacked rows ``[A1; A]``;
-    the ``A1`` block is then folded onto the ``g`` block.
+    needed.  The closed-form linear sums run on the stacked rows ``[A1; A]``,
+    in the form the function picked for them; the ``A1`` block is then
+    folded onto the ``g`` block.  ``P Aᵀ`` is formed as ``(A P)ᵀ``, which
+    relies on the input covariance being symmetric.
     """
     if plf.x_dim != cr.dim:
         raise ValueError(f"function x_dim {plf.x_dim} does not match rule dimension {cr.dim}")
@@ -208,13 +250,13 @@ def match_pl(
     pxy_nl = (l_xi * w) @ dg.T  # (X, G)
     p_gg = (dg * w) @ dg.T
 
-    a = plf._a_stack
-    n1 = a.shape[0] - plf.a.shape[0]  # rows of A1, folded onto the g block
-    a_m = a @ m
+    apply = plf._apply
+    n1 = plf._n1  # rows of A1, folded onto the g block
+    a_m = apply(m)
     p = np.asarray(p, dtype=float)
-    p_at = p @ a.T
-    a_pxy = a @ pxy_nl
-    a_pat = a @ p_at
+    p_at = apply(p).T
+    a_pxy = apply(pxy_nl)
+    a_pat = apply(p_at)
 
     g_dim = plf.g_dim
     m_y = np.concatenate((m_g, a_m[n1:]))

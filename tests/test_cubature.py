@@ -366,6 +366,19 @@ class TestGroupingPrecondition:
         with pytest.raises(ValueError, match="moment precondition"):
             classify(rule, 2)
 
+    def test_moments_computed_once_per_rule(self, monkeypatch):
+        # fusion_model classifies one rule for two values of z; the X x X
+        # second-moment product behind the moment check is formed once
+        calls = []
+        prop = CubatureRule.moment_deviations
+        compute = prop.func
+        monkeypatch.setattr(prop, "func", lambda rule: calls.append(1) or compute(rule))
+        rule = spherical_rule(6)
+        classify(rule, 1)
+        classify(rule, 3)
+        assert rule_checks(rule)[:2] == rule.moment_deviations
+        assert len(calls) == 1
+
     def test_unique_blocks_in_lexicographic_order(self):
         uq = classify(gauss_hermite_rule(4, 3), 2).unique
         keys = [tuple(uq.points[:, j]) for j in range(uq.count)]

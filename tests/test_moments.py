@@ -3,10 +3,13 @@ import numpy as np
 import pytest
 
 from plfilt import (
+    BearingSensorParams,
     PartiallyLinearFunction,
     RuleKind,
+    SingerParams,
     benchmark_function,
     classify,
+    fusion_model,
     gauss_hermite_rule,
     make_classified,
     make_rule,
@@ -134,6 +137,16 @@ class TestPartiallyLinearFunction:
         a2 = benchmark_function(3, 10, 77).a
         assert np.array_equal(a1, a2)
 
+    @pytest.mark.parametrize("name", ["a", "a1"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_map_refused(self, name, bad):
+        # the exact forms of [A1; A] agree only on finite maps: a dense
+        # product turns 0 * inf into NaN where a row gather would not
+        maps = {"a": np.eye(3), "a1": np.zeros((1, 3))}
+        maps[name][0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            PartiallyLinearFunction(z_dim=1, x_dim=3, g=lambda z: z, g_dim=1, **maps)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PartiallyLinearFunction(z_dim=0, x_dim=3, g=lambda z: z, g_dim=1, a=np.zeros((1, 3)))
@@ -143,6 +156,105 @@ class TestPartiallyLinearFunction:
             PartiallyLinearFunction(
                 z_dim=1, x_dim=3, g=lambda z: z, g_dim=2, a=np.zeros((1, 3)), a1=np.zeros((1, 3))
             )
+
+
+def _form(plf):
+    """Which exact form ``plf`` applies its linear rows ``[A1; A]`` in."""
+    func = plf._apply.func
+    return {np.take: "gather", np.matmul: "dense"}.get(func, func.__name__)
+
+
+def _sin_plf(a, z=2):
+    x = a.shape[1]
+    return PartiallyLinearFunction(z_dim=z, x_dim=x, g=np.sin, g_dim=z, a=a)
+
+
+def _stub_plf(rng):
+    """The flow stub's shape: two unequal 3x3 diagonal blocks with the (0,0)
+    entry moved into a scalar ``g`` and row 0 kept as ``A1``."""
+    stacked = np.kron(np.eye(2), rng.standard_normal((3, 3)))
+    stacked[3:, 3:] = rng.standard_normal((3, 3))
+    a11 = stacked[0, 0]
+    stacked[0, 0] = 0.0
+    return PartiallyLinearFunction(
+        z_dim=1, x_dim=6, g=lambda v: a11 * v, g_dim=1, a=stacked[1:], a1=stacked[:1]
+    )
+
+
+def _with_entry(a, i, j, value):
+    a = a.copy()
+    a[i, j] = value
+    return a
+
+
+_PAIR_SWAP = np.eye(6)[[1, 0, 3, 2, 5, 4]]
+_PAIR_BLOCKS = np.kron(np.eye(3), [[1.0, 2.0], [3.0, 4.0]])
+_SHUFFLE = np.eye(6)[[2, 0, 5, 1, 3, 4]]  # row 3 is e_1
+
+
+class TestLinearForms:
+    """``PartiallyLinearFunction`` picks one exact form for ``[A1; A]``."""
+
+    CASES = {
+        "permutation": (lambda rng: _sin_plf(np.eye(6)[[3, 0, 5, 1, 4, 2]]), "gather"),
+        "row-selection": (lambda rng: _sin_plf(np.eye(6)[[4, 1, 4, 0]]), "gather"),
+        "unequal-blocks": (_stub_plf, "_block_diagonal"),
+        "dense": (lambda rng: _sin_plf(rng.standard_normal((4, 6))), "dense"),
+        # near-misses of the two cheap forms
+        "entry-2": (lambda rng: _sin_plf(_with_entry(_PAIR_SWAP, 2, 3, 2.0)), "_block_diagonal"),
+        "entry-minus-1": (
+            lambda rng: _sin_plf(_with_entry(_PAIR_SWAP, 2, 3, -1.0)), "_block_diagonal"
+        ),
+        "off-block": (lambda rng: _sin_plf(_with_entry(_PAIR_BLOCKS, 1, 2, 0.5)), "dense"),
+        "zero-row": (lambda rng: _sin_plf(_with_entry(_SHUFFLE, 3, 1, 0.0)), "dense"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_form_and_values(self, rng, case):
+        build, form = self.CASES[case]
+        plf = build(rng)
+        assert _form(plf) == form
+        xmat = rng.standard_normal((plf.x_dim, 5))
+        gz = plf.eval_g_batch(xmat[: plf.z_dim])
+        if plf.a1 is not None:
+            gz = gz + plf.a1 @ xmat
+        ref = np.vstack((gz, plf.a @ xmat))
+        batch = plf.eval_batch(xmat)
+        assert batch.shape == ref.shape
+        assert np.abs(batch - ref).max() <= 1e-14 * (1 + np.abs(ref).max())
+        assert np.abs(plf(xmat[:, 2]) - ref[:, 2]).max() <= 1e-14 * (1 + np.abs(ref).max())
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_match_pl_equals_match_full(self, rng, case):
+        plf = self.CASES[case][0](rng)
+        rule = spherical_rule(plf.x_dim)
+        cr = classify(rule, plf.z_dim)
+        for _ in range(5):
+            m, p = trial_moments(rng, plf.x_dim)
+            jf = match_full(plf, m, p, rule)
+            jp = match_pl(plf, m, p, cr)
+            for block in BLOCKS:
+                a_blk = getattr(jf, block)
+                assert np.abs(a_blk - getattr(jp, block)).max() <= 1e-10 * (
+                    1 + np.abs(a_blk).max()
+                ), (case, block)
+
+    def test_form_kept_in_step_with_the_map(self, rng):
+        # the form is picked once, so the map it came from must not change:
+        # the function keeps a read-only copy of the caller's matrix
+        a = np.eye(6)[[3, 0, 5, 1, 4, 2]]
+        plf = _sin_plf(a)
+        x = rng.standard_normal(6)
+        before = plf(x)
+        a[0] = 5.0
+        assert np.array_equal(plf(x), before)
+        with pytest.raises(ValueError, match="read-only"):
+            plf.a[0, 0] = 5.0
+
+    def test_fusion_model_forms(self):
+        model = fusion_model(SingerParams(agents=3), BearingSensorParams())
+        assert _form(model.flow) == "_block_diagonal"
+        assert _form(model.measurement) == "gather"
 
 
 class TestMatchPl:
