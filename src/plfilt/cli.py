@@ -10,15 +10,20 @@ numpy's PCG64 generator, which pins the drawn numbers across platforms.
 from __future__ import annotations
 
 import argparse
+import os
+import platform
 import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
+from scipy.linalg import solve_triangular
 
 from .cubature import DEFAULT_POINT_BUDGET, RuleKind, make_classified, make_rule
 from .errors import PointBudgetExceededError
-from .filters import FilterState, lrkf_step, pl_lrkf_step
+from .filters import FilterState, PredictionRecord, lrkf_step, pl_lrkf_step
+from .linalg import cholesky_full
 from .models import (
     BearingSensorParams,
     SingerParams,
@@ -30,9 +35,23 @@ from .moments import match_full, match_pl
 
 _TIMING_FLOOR_S = 0.2  # each timed mode accumulates at least this much wall time
 
+# BLAS thread settings change step times several-fold on small machines
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _environment_comments() -> list[str]:
+    """Comment lines recording the interpreter and library versions and the
+    BLAS thread variables, so a timing can be read against its setting."""
+    threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}" for var in _THREAD_VARS)
+    return [
+        f"versions: python {platform.python_version()}, numpy {np.__version__}, "
+        f"scipy {scipy.__version__}",
+        f"blas threads: {threads}",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +326,7 @@ def run_bench(cfg: BenchConfig):
         "rng: numpy PCG64, streams SeedSequence(entropy=(seed, row, trial))",
         f"seed: {cfg.seed}",
         "nondeterministic columns: t_full_s, t_pl_s, speedup",
+        *_environment_comments(),
     ]
     rows = [_bench_row(cfg, i, z, l) for i, (z, l) in enumerate(cfg.dims)]
     return comments, BENCH_HEADER, rows
@@ -326,6 +346,13 @@ def _block_indices(n_agents: int):
     return np.array(pos), np.array(vel), np.array(acc)
 
 
+def _nis(pred: PredictionRecord, y: np.ndarray) -> float:
+    """Normalized innovation squared ``eᵀe``, ``e = L⁻¹ (y − m_y)`` with
+    ``L`` the Cholesky factor of the predicted measurement covariance."""
+    e = solve_triangular(cholesky_full(pred.meas_cov), y - pred.meas_mean, lower=True)
+    return float(e @ e)
+
+
 def run_sim(cfg: SimConfig):
     data = simulate_tracking(
         cfg.singer, cfg.sensor, cfg.steps, np.random.SeedSequence(entropy=(cfg.seed,))
@@ -340,7 +367,7 @@ def run_sim(cfg: SimConfig):
     for mode in active:
         tag = labels[mode]
         header += [f"rms_pos_{tag}", f"rms_vel_{tag}", f"rms_acc_{tag}"]
-        header += [f"env3_pos_{tag}", f"env3_vel_{tag}", f"env3_acc_{tag}"]
+        header += [f"env3_pos_{tag}", f"env3_vel_{tag}", f"env3_acc_{tag}", f"nis_{tag}"]
     if len(active) == 2:
         header.append("mean_diff")
 
@@ -353,13 +380,14 @@ def run_sim(cfg: SimConfig):
         y = data.measurements[k - 1]
         row = [k]
         for mode in active:
-            states[mode] = runners[mode](states[mode], model, y)
+            states[mode] = runners[mode](states[mode], model, y, keep_prediction=True)
             err = states[mode].mean - data.truth[k]
             var = np.diag(states[mode].cov)
             for idx in blocks:
                 row.append(_fmt(float(np.sqrt(np.mean(err[idx] ** 2)))))
             for idx in blocks:
                 row.append(_fmt(3.0 * float(np.sqrt(np.mean(var[idx])))))
+            row.append(_fmt(_nis(states[mode].prediction, y)))
         if len(active) == 2:
             row.append(_fmt(float(np.linalg.norm(states["full"].mean - states["pl"].mean))))
         rows.append(row)
@@ -369,6 +397,7 @@ def run_sim(cfg: SimConfig):
         "rng: numpy PCG64, stream SeedSequence(entropy=(seed,))",
         f"seed: {cfg.seed}",
         f"agents: {cfg.singer.agents}, steps: {cfg.steps}",
+        *_environment_comments(),
     ]
     return comments, header, rows
 

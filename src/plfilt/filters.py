@@ -42,7 +42,9 @@ class EstimationModel:
     so its nonlinear coordinates lead, and ``measurement`` maps that permuted
     state to measurement space; both filters match it on the permuted
     predicted moments.  ``q`` and ``r`` are the additive noise covariances in
-    state and measurement coordinates.
+    state and measurement coordinates; each is checked positive definite and
+    stored exactly symmetric (``(q + qᵀ) / 2``), so every covariance a step
+    builds from them is exactly symmetric too.
     """
 
     flow: PartiallyLinearFunction
@@ -74,8 +76,8 @@ class EstimationModel:
                 raise ValueError(f"{tag} rule does not match the {tag} function")
         cholesky_full(q)  # SPD checks; raise early rather than mid-run
         cholesky_full(r)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "q", 0.5 * (q + q.T))
+        object.__setattr__(self, "r", 0.5 * (r + r.T))
 
     @property
     def x_dim(self) -> int:
@@ -117,7 +119,9 @@ def kalman_update(prior: GaussianMoments, joint: JointGaussian, y: np.ndarray) -
     With ``S = L L^T``, one ``dtrtrs`` gives ``W^T = L^-1 P_xy^T`` and
     ``e = L^-1 (y - m_y)``; the posterior is ``m + W e`` (``dgemv``) and
     ``P - W W^T`` (one ``dsyrk`` on the lower triangle of ``P``, mirrored,
-    so exactly symmetric).  A misshapen or non-finite ``y`` raises
+    so exactly symmetric).  ``dsyrk`` gets ``P^T``, which is Fortran-ordered
+    where ``P`` is C-ordered, and updates its upper triangle, so the copy it
+    makes is a plain one.  A misshapen or non-finite ``y`` raises
     ``ValueError``.
     """
     y = np.asarray(y, dtype=float)
@@ -138,8 +142,8 @@ def kalman_update(prior: GaussianMoments, joint: JointGaussian, y: np.ndarray) -
     sol, _ = lapack.dtrtrs(l, rhs, lower=1, overwrite_b=1)  # positive diagonal: never singular
     w_t = sol[:, :x]
     mean = blas.dgemv(1.0, w_t, sol[:, x], beta=1.0, y=prior.mean, trans=1)
-    cov = blas.dsyrk(-1.0, w_t, beta=1.0, c=prior.cov, trans=1, lower=1)
-    return GaussianMoments(mean=mean, cov=mirror_lower(cov))
+    cov_t = blas.dsyrk(-1.0, w_t, beta=1.0, c=prior.cov.T, trans=1, lower=0)
+    return GaussianMoments(mean=mean, cov=mirror_lower(cov_t.T))
 
 
 @contextmanager
@@ -160,12 +164,15 @@ def _step(
     state: FilterState, model: EstimationModel, y: np.ndarray, keep_prediction: bool, match
 ) -> FilterState:
     """The predict/update cycle both filters share; ``match(f, m, p, cr)``
-    matches one model function on a classified rule."""
+    matches one model function on a classified rule.  Both matchers return
+    an exactly symmetric ``p_yy`` and the model's noise is stored exactly
+    symmetric, so the predicted, permuted and innovation covariances are
+    exactly symmetric as built."""
     k_next = state.k + 1
     with _phase(k_next, "predict"):
         jt = match(model.flow, state.mean, state.cov, model.flow_rule)
     m_pred = jt.m_y
-    p_pred = 0.5 * (jt.p_yy + jt.p_yy.T) + model.q
+    p_pred = jt.p_yy + model.q
 
     m_bar, p_bar = permute_moments(model.meas_perm, m_pred, p_pred)
     with _phase(k_next, "measure"):

@@ -191,6 +191,8 @@ def match_full(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule) -> JointGaus
     points into state space, so the points depend on the coordinate order of
     ``m`` and ``p``.  In the order :func:`match_pl` gets (nonlinear
     coordinates first) both use the same factor and agree up to roundoff.
+    As from :func:`match_pl`, the returned ``p_yy`` is exactly symmetric
+    (its lower triangle mirrored).
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (rule.dim,):
@@ -205,7 +207,7 @@ def match_full(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule) -> JointGaus
     m_y = ypts @ w
     dy = ypts - m_y[:, None]
     p_xy = (dx * w) @ dy.T
-    p_yy = (dy * w) @ dy.T
+    p_yy = mirror_lower((dy * w) @ dy.T)
     return JointGaussian(m_x=m, m_y=m_y, p_xx=np.asarray(p, dtype=float), p_xy=p_xy, p_yy=p_yy)
 
 
@@ -226,7 +228,8 @@ def match_pl(
     needed.  The closed-form linear sums run on the stacked rows ``[A1; A]``,
     in the form the function picked for them; the ``A1`` block is then
     folded onto the ``g`` block.  ``P Aᵀ`` is formed as ``(A P)ᵀ``, which
-    relies on the input covariance being symmetric.
+    relies on the input covariance being symmetric.  The returned ``p_yy``
+    is exactly symmetric (its lower blocks mirrored).
     """
     if plf.x_dim != cr.dim:
         raise ValueError(f"function x_dim {plf.x_dim} does not match rule dimension {cr.dim}")
@@ -247,21 +250,25 @@ def match_pl(
     g_all = plf.eval_g_batch(m[:z, None] + l_xi[:z])
     m_g = g_all @ w
     dg = g_all - m_g[:, None]
-    pxy_nl = (l_xi * w) @ dg.T  # (X, G)
-    p_gg = (dg * w) @ dg.T
+    dg_w = dg * w
+    p_gg = dg_w @ dg.T
 
     apply = plf._apply
     n1 = plf._n1  # rows of A1, folded onto the g block
-    a_m = apply(m)
+    g_dim = plf.g_dim
+    m_y = np.empty(plf.y_dim)
+    p_xy = np.empty((cr.dim, plf.y_dim))
+    p_yy = np.empty((plf.y_dim, plf.y_dim))
+    p_xy[:, :g_dim] = l_xi @ dg_w.T  # the nonlinear block, (X, G)
     p = np.asarray(p, dtype=float)
+    a_m = apply(m)
     p_at = apply(p).T
-    a_pxy = apply(pxy_nl)
+    a_pxy = apply(p_xy[:, :g_dim])
     a_pat = apply(p_at)
 
-    g_dim = plf.g_dim
-    m_y = np.concatenate((m_g, a_m[n1:]))
-    p_xy = np.hstack((pxy_nl, p_at[:, n1:]))
-    p_yy = np.empty((plf.y_dim, plf.y_dim))
+    m_y[:g_dim] = m_g
+    m_y[g_dim:] = a_m[n1:]
+    p_xy[:, g_dim:] = p_at[:, n1:]
     p_yy[:g_dim, :g_dim] = p_gg
     p_yy[g_dim:, :g_dim] = a_pxy[n1:]
     p_yy[g_dim:, g_dim:] = a_pat[n1:, n1:]

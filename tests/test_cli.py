@@ -1,11 +1,23 @@
 """Harness behavior: config handling, CSV output, determinism, and the
 README's config table."""
 import io
+import platform
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
+from plfilt import (
+    BearingSensorParams,
+    FilterState,
+    SingerParams,
+    fusion_model,
+    lrkf_step,
+    pl_lrkf_step,
+    simulate_tracking,
+)
 from plfilt.cli import (
     DEFAULTS,
     bench_config_from,
@@ -180,6 +192,61 @@ class TestSim:
         assert "mean_diff" not in header
         assert all(col.endswith("_lrkf") for col in header[1:])
         assert len(rows) == 5
+
+
+class TestSimNis:
+    CFG = {"sim.agents": "2", "sim.steps": "12", "seed": "11"}
+
+    def _columns(self):
+        _, header, rows = run_sim(sim_config_from(merged_config(None, self.CFG)))
+        return {name: np.array([float(row[i]) for row in rows]) for i, name in enumerate(header)}
+
+    def test_column_order(self):
+        header = list(self._columns())
+        assert header[-3:] == ["env3_acc_pl", "nis_pl", "mean_diff"]
+        assert header.index("nis_lrkf") == header.index("env3_acc_lrkf") + 1
+
+    def test_filters_agree(self):
+        cols = self._columns()
+        assert np.all(cols["nis_pl"] > 0.0)
+        assert np.abs(cols["nis_lrkf"] - cols["nis_pl"]).max() <= 1e-8 * cols["nis_pl"].max()
+
+    def test_matches_solve_of_innovation_covariance(self):
+        cols = self._columns()
+        singer = SingerParams(agents=2)
+        sensor = BearingSensorParams()
+        model = fusion_model(singer, sensor)
+        data = simulate_tracking(singer, sensor, 12, np.random.SeedSequence(entropy=(11,)))
+        for step_fn, tag in ((lrkf_step, "lrkf"), (pl_lrkf_step, "pl")):
+            state = FilterState(k=0, mean=data.init_mean, cov=data.init_cov)
+            for k, y in enumerate(data.measurements):
+                state = step_fn(state, model, y, keep_prediction=True)
+                d = y - state.prediction.meas_mean
+                ref = float(d @ np.linalg.solve(state.prediction.meas_cov, d))
+                assert abs(cols[f"nis_{tag}"][k] - ref) <= 1e-10 * ref, (tag, k)
+
+
+class TestEnvironmentComments:
+    @pytest.mark.parametrize("command", ["bench", "sim"])
+    def test_versions_and_thread_variables(self, monkeypatch, command):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        if command == "bench":
+            cfg = bench_config_from(
+                merged_config(None, {"bench.dims": "2x3", "bench.trials": "2"})
+            )
+            comments, _, _ = run_bench(cfg)
+        else:
+            cfg = sim_config_from(merged_config(None, {"sim.agents": "1", "sim.steps": "2"}))
+            comments, _, _ = run_sim(cfg)
+        assert (
+            f"versions: python {platform.python_version()}, numpy {np.__version__}, "
+            f"scipy {scipy.__version__}"
+        ) in comments
+        assert (
+            "blas threads: OPENBLAS_NUM_THREADS=3, OMP_NUM_THREADS=unset, MKL_NUM_THREADS=2"
+        ) in comments
 
 
 class TestMain:

@@ -296,6 +296,18 @@ class TestStructuredEquivalence:
             assert np.abs(plain.cov - struct.cov).max() <= 1e-12 * (1 + np.abs(plain.cov).max())
             state = plain
 
+    def test_covariances_exactly_symmetric(self):
+        singer = SingerParams(agents=3)
+        sensor = BearingSensorParams()
+        model = fusion_model(singer, sensor)
+        data = simulate_tracking(singer, sensor, 30, np.random.SeedSequence(entropy=(41,)))
+        for step_fn in (lrkf_step, pl_lrkf_step):
+            state = FilterState(k=0, mean=data.init_mean, cov=data.init_cov)
+            for y in data.measurements:
+                state = step_fn(state, model, y, keep_prediction=True)
+                for cov in (state.cov, state.prediction.cov, state.prediction.meas_cov):
+                    assert np.array_equal(cov, cov.T), (step_fn.__name__, state.k)
+
     @pytest.mark.parametrize("step_fn", [lrkf_step, pl_lrkf_step], ids=["lrkf", "pl"])
     def test_non_finite_measurement_rejected(self, step_fn):
         singer = SingerParams(agents=1)
@@ -333,3 +345,20 @@ class TestModelValidation:
                 flow=flow, q=-np.eye(x_dim), flow_rule=rule, measurement=meas, r=np.eye(2),
                 meas_perm=Permutation.identity(x_dim), meas_rule=rule,
             )
+
+    def test_noise_stored_exactly_symmetric(self, rng):
+        # asymmetric within the factorization's tolerance: accepted, and
+        # stored as its symmetric part
+        x_dim, y_dim = 4, 2
+        model, *_ = linear_model(rng, x_dim, y_dim)
+        q = model.q.copy()
+        r = model.r.copy()
+        q[0, 2] += 1e-13
+        r[1, 0] -= 1e-13
+        rebuilt = EstimationModel(
+            flow=model.flow, q=q, flow_rule=model.flow_rule, measurement=model.measurement, r=r,
+            meas_perm=model.meas_perm, meas_rule=model.meas_rule,
+        )
+        for given, stored in ((q, rebuilt.q), (r, rebuilt.r)):
+            assert np.array_equal(stored, stored.T)
+            assert np.array_equal(stored, 0.5 * (given + given.T))

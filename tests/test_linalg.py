@@ -3,13 +3,29 @@ import numpy as np
 import pytest
 
 from plfilt import (
+    GaussianMoments,
+    JointGaussian,
     NotPositiveDefiniteError,
     Permutation,
+    benchmark_function,
     cholesky_full,
     cholesky_partial,
+    classify,
+    kalman_update,
+    match_full,
+    match_pl,
     permute_moments,
+    spherical_rule,
 )
 from conftest import random_spd
+
+
+def nearly_symmetric(rng, n):
+    """A random SPD matrix plus an antisymmetric perturbation: its two
+    triangles differ by less than half the factorizations' tolerance."""
+    p = random_spd(rng, n)
+    e = rng.uniform(-1.0, 1.0, (n, n))
+    return p + 1e-11 * np.abs(p).max() * (e - e.T)
 
 
 class TestCholeskyFull:
@@ -142,6 +158,16 @@ class TestCholeskyPartial:
             cholesky_partial(p, 3)
         assert err.value.pivot == 1
 
+    def test_nearly_symmetric_same_triangle_as_full(self, rng):
+        # both factorizations accept a tolerated asymmetry and must factor the
+        # same triangle of it, which an asymmetry this size would show
+        for n in (6, 27, 40):
+            p = nearly_symmetric(rng, n)
+            assert not np.array_equal(p, p.T)
+            full = cholesky_full(p)
+            for z in sorted({1, 2, n // 3, n - 1, n}):
+                assert np.abs(cholesky_partial(p, z).column_block() - full[:, :z]).max() <= 1e-13
+
     def test_z_out_of_range(self, rng):
         p = random_spd(rng, 4)
         with pytest.raises(ValueError):
@@ -194,3 +220,28 @@ class TestPermutation:
         perm = Permutation.identity(3)
         with pytest.raises(ValueError):
             permute_moments(perm, np.zeros(4), np.eye(4))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_inputs_left_unmodified(rng, order):
+    """No factorization, update or matcher writes to its inputs, whatever
+    their memory order (guards any in-place LAPACK shortcut)."""
+    x, z = 9, 3
+    plf = benchmark_function(z, x - z, 7)
+    rule = spherical_rule(x)
+    m = rng.standard_normal(x)
+    p = np.array(nearly_symmetric(rng, x), order=order)
+    s = np.array(random_spd(rng, plf.y_dim), order=order)
+    p_xy = np.array(rng.standard_normal((x, plf.y_dim)), order=order)
+    m_y = rng.standard_normal(plf.y_dim)
+    y = rng.standard_normal(plf.y_dim)
+    inputs = (m, p, s, p_xy, m_y, y)
+    before = [a.copy() for a in inputs]
+    cholesky_full(p)
+    cholesky_full(s)
+    cholesky_partial(p, z)
+    kalman_update(GaussianMoments(m, p), JointGaussian(m, m_y, p, p_xy, s), y)
+    match_full(plf, m, p, rule)
+    match_pl(plf, m, p, classify(rule, z))
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a, b)

@@ -257,6 +257,39 @@ class TestLinearForms:
         assert _form(model.measurement) == "gather"
 
 
+def _symmetry_plf(rng, form, with_a1):
+    """A z=2, X=6 function whose stacked ``[A1; A]`` takes ``form``."""
+    if form == "gather":
+        stacked = np.eye(6)[[4, 2, 3, 0, 5, 1]]
+    elif form == "_block_diagonal":
+        stacked = np.kron(np.eye(3), rng.standard_normal((2, 2)))
+    else:
+        stacked = rng.standard_normal((6, 6))
+    a1, a = (stacked[:2], stacked[2:]) if with_a1 else (None, stacked)
+    return PartiallyLinearFunction(
+        z_dim=2, x_dim=6, g=lambda v: np.sin(v) + v[::-1] ** 2, g_dim=2, a=a, a1=a1
+    )
+
+
+class TestExactSymmetry:
+    """Both matchers return an exactly symmetric ``p_yy``."""
+
+    @pytest.mark.parametrize("rule_name", ["sc", "ut_05_3"])
+    @pytest.mark.parametrize("with_a1", [False, True], ids=["no-a1", "a1"])
+    @pytest.mark.parametrize("form", ["gather", "_block_diagonal", "dense"])
+    def test_pyy_exactly_symmetric(self, rng, form, with_a1, rule_name):
+        plf = _symmetry_plf(rng, form, with_a1)
+        assert _form(plf) == form
+        rule = make_rule(RULES[rule_name], 6)
+        if rule_name == "ut_05_3":
+            assert rule.weights.min() < 0.0  # a negative central weight
+        cr = classify(rule, 2)
+        for _ in range(5):
+            m, p = trial_moments(rng, 6)
+            for joint in (match_full(plf, m, p, rule), match_pl(plf, m, p, cr)):
+                assert np.array_equal(joint.p_yy, joint.p_yy.T)
+
+
 class TestMatchPl:
     def test_whole_function_linear(self, rng):
         # g = identity on z, A = [0 I]: output is a permutation-free linear map
