@@ -14,7 +14,6 @@ from .cubature import (
     ClassifiedRule,
     CubatureRule,
     RuleKind,
-    UniqueRule,
     classify,
     gauss_hermite_rule,
     hermite_1d,
@@ -31,13 +30,11 @@ from .errors import (
     NotPositiveDefiniteError,
     PlfiltError,
     PointBudgetExceededError,
-    RootFindingError,
     SingularGeometryError,
 )
 from .filters import (
     EstimationModel,
     FilterState,
-    PredictionRecord,
     kalman_update,
     lrkf_step,
     pl_lrkf_step,
@@ -89,13 +86,10 @@ __all__ = [
     "Permutation",
     "PlfiltError",
     "PointBudgetExceededError",
-    "PredictionRecord",
-    "RootFindingError",
     "RuleKind",
     "SingerParams",
     "SingularGeometryError",
     "TrackingData",
-    "UniqueRule",
     "bearing",
     "benchmark_function",
     "cholesky_full",

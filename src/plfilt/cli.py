@@ -22,7 +22,7 @@ from scipy.linalg import solve_triangular
 
 from .cubature import DEFAULT_POINT_BUDGET, RuleKind, make_classified, make_rule
 from .errors import PointBudgetExceededError
-from .filters import FilterState, PredictionRecord, lrkf_step, pl_lrkf_step
+from .filters import FilterState, lrkf_step, pl_lrkf_step
 from .linalg import cholesky_full
 from .models import (
     BearingSensorParams,
@@ -31,7 +31,7 @@ from .models import (
     fusion_model,
     simulate_tracking,
 )
-from .moments import match_full, match_pl
+from .moments import JointGaussian, match_full, match_pl
 
 _TIMING_FLOOR_S = 0.2  # each timed mode accumulates at least this much wall time
 
@@ -346,10 +346,10 @@ def _block_indices(n_agents: int):
     return np.array(pos), np.array(vel), np.array(acc)
 
 
-def _nis(pred: PredictionRecord, y: np.ndarray) -> float:
+def _nis(pred: JointGaussian, y: np.ndarray) -> float:
     """Normalized innovation squared ``eᵀe``, ``e = L⁻¹ (y − m_y)`` with
     ``L`` the Cholesky factor of the predicted measurement covariance."""
-    e = solve_triangular(cholesky_full(pred.meas_cov), y - pred.meas_mean, lower=True)
+    e = solve_triangular(cholesky_full(pred.p_yy), y - pred.m_y, lower=True)
     return float(e @ e)
 
 

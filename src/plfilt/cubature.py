@@ -24,18 +24,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 
-from .errors import PointBudgetExceededError, RootFindingError
+from .errors import PointBudgetExceededError
 
 DEFAULT_POINT_BUDGET = 10_000_000
 # roundoff bound of the preconditions that classify checks, relative to a
 # rule's largest coordinate (squared, for the weight sum and second moment)
 # times its absolute weight sum; the shipped rules at dimensions 1..50
 # (Gauss-Hermite 1..6) measure at most 7e-17 and 8.6e-16
-SYMMETRY_RTOL = 1e-12
+PRECONDITION_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -137,42 +138,21 @@ def unscented_rule(x: int, alpha: float, kappa: float) -> CubatureRule:
     )
 
 
-def _hermite_value(p: int, x: np.ndarray):
-    """Evaluate the probabilists' Hermite polynomial pair (He_p, He_{p-1})
-    via the recursion He_{k+1}(x) = x He_k(x) - k He_{k-1}(x)."""
-    h_prev = np.ones_like(x)
-    h = np.asarray(x, dtype=float).copy()
-    for k in range(1, p):
-        h_prev, h = h, x * h - k * h_prev
-    return h, h_prev
-
-
 def hermite_1d(p: int):
     """Roots and weights of the order-``p`` probabilists' Hermite quadrature.
 
-    Roots are the eigenvalues of the symmetric tridiagonal Jacobi matrix
-    (off-diagonals sqrt(k)), polished with a few Newton iterations on He_p;
-    weights follow p! / (p He_{p-1}(r))^2.  The returned arrays are exactly
+    numpy's ``hermegauss`` (Golub-Welsch) gives the roots and weights for
+    the weight function ``exp(-x^2 / 2)``; dividing the weights by
+    ``sqrt(2 pi)`` makes them sum to one.  The returned arrays are exactly
     symmetric: ``roots == -roots[::-1]`` and ``weights == weights[::-1]``
     hold bitwise, and odd orders carry an exact 0.0 root.
     """
     p = int(p)
     if p < 1:
         raise ValueError(f"order must be >= 1, got {p}")
-    if p == 1:
-        return np.array([0.0]), np.array([1.0])
-    off = np.sqrt(np.arange(1.0, p))
-    roots = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    for _ in range(5):
-        hp, hpm1 = _hermite_value(p, roots)
-        dh = p * hpm1
-        safe = np.where(dh == 0.0, 1.0, dh)
-        roots = roots - np.where(dh == 0.0, 0.0, hp / safe)
-    if not np.all(np.isfinite(roots)):
-        raise RootFindingError(f"Hermite root polish diverged for p={p}")
+    roots, weights = hermegauss(p)
+    weights = weights / math.sqrt(2.0 * math.pi)
     roots = 0.5 * (roots - roots[::-1])  # enforce exact symmetry about 0
-    _, hpm1 = _hermite_value(p, roots)
-    weights = math.factorial(p) / (p * hpm1) ** 2
     weights = 0.5 * (weights + weights[::-1])
     return roots, weights
 
@@ -198,11 +178,8 @@ def gauss_hermite_rule(
     if count > point_budget:
         raise PointBudgetExceededError(requested=count, budget=point_budget)
     roots, w1 = hermite_1d(p)
-    axes = np.meshgrid(*([roots] * x), indexing="ij")
-    points = np.vstack([axis.reshape(1, -1) for axis in axes])
-    weights = np.ones(count)
-    for axis in np.meshgrid(*([w1] * x), indexing="ij"):
-        weights = weights * axis.ravel()
+    points = np.stack(np.meshgrid(*([roots] * x), indexing="ij")).reshape(x, count)
+    weights = reduce(np.multiply.outer, [w1] * x).ravel()
     return CubatureRule(
         dim=x, weights=weights, points=points, kind=RuleKind("gh", order=p)
     )
@@ -222,30 +199,6 @@ def make_rule(
 
 
 @dataclass(frozen=True)
-class UniqueRule:
-    """Nonlinear points grouped by their leading z-block, in lexicographic
-    order of the blocks.
-
-    ``points`` holds the distinct nonzero leading blocks (one column each);
-    ``weights`` are the summed weights of all points sharing that block.
-    The implied full-dimension points have zero trailing coordinates, so the
-    partial Cholesky path always applies to them; :func:`classify` refuses
-    rules on which dropping the trailing coordinates would change the sums.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.points.flags.writeable = False
-        self.weights.flags.writeable = False
-
-    @property
-    def count(self) -> int:
-        return self.weights.size
-
-
-@dataclass(frozen=True)
 class ClassifiedRule:
     """A cubature rule split by how its points interact with a leading
     ``z_dim``-coordinate nonlinear block.
@@ -253,9 +206,15 @@ class ClassifiedRule:
     Central points are exactly zero, linear points are zero in the leading
     ``z_dim`` coordinates only, nonlinear points perturb the leading block.
     ``n_c``, ``n_z`` and ``n_l`` count the three subsets and ``w_cl`` is the
-    total weight of the central and linear points.  ``unique`` holds the
-    nonlinear points grouped by leading block, which is all the structured
-    moment-matching path reads.
+    total weight of the central and linear points.  ``unique`` is the
+    ``z_dim``-dimensional rule of the nonlinear points grouped by leading
+    block, in lexicographic order of the blocks: one column per distinct
+    nonzero block, weighted by the summed weight of the points sharing it.
+    It is all the structured moment-matching path reads, besides ``w_cl``.
+    The full-dimension points it stands for have zero trailing coordinates,
+    so the partial Cholesky path always applies to them; :func:`classify`
+    refuses rules on which dropping the trailing coordinates would change
+    the sums.
 
     For Gauss-Hermite grids too large to materialize the instance may be
     "virtual": ``base`` is ``None`` while the counts, ``w_cl`` and ``unique``
@@ -270,7 +229,7 @@ class ClassifiedRule:
     n_z: int
     n_l: int
     w_cl: float
-    unique: UniqueRule
+    unique: CubatureRule
     base: CubatureRule | None = None
 
     @property
@@ -289,11 +248,11 @@ def classify(rule: CubatureRule, z: int) -> ClassifiedRule:
     included) has a zero weighted sum of trailing coordinates and the
     weighted leading blocks sum to zero.  Point symmetry does not imply
     this, so it is checked here: a rule whose largest such sum exceeds
-    ``SYMMETRY_RTOL`` times its largest coordinate times its absolute weight
+    ``PRECONDITION_RTOL`` times its largest coordinate times its absolute weight
     sum raises ``ValueError``.  The closed-form linear sums of the structured
     path also assume a unit weight sum and a unit second moment, so a rule
     whose weight sum deviates from 1, or whose second moment deviates from
-    ``I``, by more than ``SYMMETRY_RTOL`` times its squared largest
+    ``I``, by more than ``PRECONDITION_RTOL`` times its squared largest
     coordinate times its absolute weight sum is refused as well; those two
     deviations are computed once per rule and cached on it.
     """
@@ -311,19 +270,19 @@ def classify(rule: CubatureRule, z: int) -> ClassifiedRule:
     dev = max(np.abs(sums[z:]).max(initial=0.0), np.abs(sums[:z].sum(axis=1)).max())
     xi_max = np.abs(rule.points).max()
     scale = xi_max * np.abs(w).sum()
-    if not dev <= SYMMETRY_RTOL * scale:
+    if not dev <= PRECONDITION_RTOL * scale:
         raise ValueError(
             f"rule violates the grouping precondition: a weighted trailing or "
             f"z-block sum deviates by {dev / scale:.2e} relative, "
-            f"above {SYMMETRY_RTOL:.0e}"
+            f"above {PRECONDITION_RTOL:.0e}"
         )
     dev = max(rule.moment_deviations)
     scale *= xi_max
-    if not dev <= SYMMETRY_RTOL * scale:
+    if not dev <= PRECONDITION_RTOL * scale:
         raise ValueError(
             f"rule violates the moment precondition: the weight sum or the "
             f"second moment deviates from 1 or I by {dev / scale:.2e} relative, "
-            f"above {SYMMETRY_RTOL:.0e}"
+            f"above {PRECONDITION_RTOL:.0e}"
         )
     heads = zb[:, starts]
     zero = ~heads.any(axis=0)
@@ -338,7 +297,7 @@ def classify(rule: CubatureRule, z: int) -> ClassifiedRule:
         n_z=rule.count - n_cl,
         n_l=n_cl - n_c,
         w_cl=float(group_w[zero].sum()),
-        unique=UniqueRule(points=heads[:, ~zero], weights=group_w[~zero]),
+        unique=CubatureRule(z, group_w[~zero], heads[:, ~zero], rule.kind),
         base=rule,
     )
 
@@ -378,7 +337,7 @@ def make_classified(
     )
 
 
-def unique_nonlinear(cr: ClassifiedRule) -> UniqueRule:
+def unique_nonlinear(cr: ClassifiedRule) -> CubatureRule:
     """The nonlinear points of ``cr`` grouped by leading z-block."""
     return cr.unique
 

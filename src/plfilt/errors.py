@@ -36,10 +36,6 @@ class SingularGeometryError(PlfiltError):
     """Bearing angles are undefined (target too close to the observer)."""
 
 
-class RootFindingError(PlfiltError):
-    """Polynomial root computation failed to converge."""
-
-
 class FilterStepError(PlfiltError):
     """A filter recursion step failed; carries the step index and phase."""
 

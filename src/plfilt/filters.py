@@ -89,44 +89,41 @@ class EstimationModel:
 
 
 @dataclass(frozen=True)
-class PredictionRecord:
-    """Predicted state and measurement moments kept for diagnostics."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    meas_mean: np.ndarray
-    meas_cov: np.ndarray
-    cross_cov: np.ndarray
-
-
-@dataclass(frozen=True)
 class FilterState:
     """Posterior mean/covariance at time index ``k``.
 
-    ``prediction`` is populated only when a step is asked to keep
-    diagnostics; the extra storage is unwanted in long runs.
+    ``prediction`` is the step's predicted joint Gaussian of state and
+    measurement, the one :func:`kalman_update` conditioned on ``y``, in state
+    coordinates with the measurement noise included.  It is kept only when
+    a step is asked to keep diagnostics; the extra storage is unwanted in
+    long runs.
     """
 
     k: int
     mean: np.ndarray
     cov: np.ndarray
-    prediction: PredictionRecord | None = None
+    prediction: JointGaussian | None = None
 
 
-def kalman_update(prior: GaussianMoments, joint: JointGaussian, y: np.ndarray) -> GaussianMoments:
-    """Condition a Gaussian on a measurement via the matched joint moments.
+def kalman_update(joint: JointGaussian, y: np.ndarray) -> GaussianMoments:
+    """Condition the joint Gaussian of ``x`` and ``y`` on an observed ``y``.
 
-    With ``S = L L^T``, one ``dtrtrs`` gives ``W^T = L^-1 P_xy^T`` and
-    ``e = L^-1 (y - m_y)``; the posterior is ``m + W e`` (``dgemv``) and
-    ``P - W W^T`` (one ``dsyrk`` on the lower triangle of ``P``, mirrored,
-    so exactly symmetric).  ``dsyrk`` gets ``P^T``, which is Fortran-ordered
-    where ``P`` is C-ordered, and updates its upper triangle, so the copy it
-    makes is a plain one.  A misshapen or non-finite ``y`` raises
-    ``ValueError``.
+    With ``S = L L^T`` the factor of ``p_yy``, one ``dtrtrs`` gives
+    ``W^T = L^-1 P_xy^T`` and ``e = L^-1 (y - m_y)``; the posterior is
+    ``m_x + W e`` (``dgemv``) and ``P_xx - W W^T`` (one ``dsyrk`` on the
+    lower triangle of ``P_xx``, mirrored, so exactly symmetric).  ``dsyrk``
+    gets ``P_xx^T``, which is Fortran-ordered where ``P_xx`` is C-ordered,
+    and updates its upper triangle, so the copy it makes is a plain one.
+    A joint whose blocks' shapes disagree, or a misshapen or non-finite
+    ``y``, raises ``ValueError``.
     """
+    x, n = joint.x_dim, joint.y_dim
+    shapes = (joint.m_x.shape, joint.p_xx.shape, joint.p_xy.shape, joint.p_yy.shape)
+    if shapes != ((x,), (x, x), (x, n), (n, n)):
+        raise ValueError(f"inconsistent joint shapes (m_x, p_xx, p_xy, p_yy): {shapes}")
     y = np.asarray(y, dtype=float)
-    if y.shape != (joint.y_dim,):
-        raise ValueError(f"measurement shape {y.shape} does not match joint dimension {joint.y_dim}")
+    if y.shape != (n,):
+        raise ValueError(f"measurement shape {y.shape} does not match joint dimension {n}")
     if not np.isfinite(y).all():
         raise ValueError("measurement contains non-finite values")
     try:
@@ -135,14 +132,13 @@ def kalman_update(prior: GaussianMoments, joint: JointGaussian, y: np.ndarray) -
         raise InnovationDegenerateError(
             f"innovation covariance not positive definite (pivot {exc.pivot})"
         ) from exc
-    x = prior.dim
-    rhs = np.empty((joint.y_dim, x + 1), order="F")
+    rhs = np.empty((n, x + 1), order="F")
     rhs[:, :x] = joint.p_xy.T
     rhs[:, x] = y - joint.m_y
     sol, _ = lapack.dtrtrs(l, rhs, lower=1, overwrite_b=1)  # positive diagonal: never singular
     w_t = sol[:, :x]
-    mean = blas.dgemv(1.0, w_t, sol[:, x], beta=1.0, y=prior.mean, trans=1)
-    cov_t = blas.dsyrk(-1.0, w_t, beta=1.0, c=prior.cov.T, trans=1, lower=0)
+    mean = blas.dgemv(1.0, w_t, sol[:, x], beta=1.0, y=joint.m_x, trans=1)
+    cov_t = blas.dsyrk(-1.0, w_t, beta=1.0, c=joint.p_xx.T, trans=1, lower=0)
     return GaussianMoments(mean=mean, cov=mirror_lower(cov_t.T))
 
 
@@ -181,12 +177,11 @@ def _step(
     p_xy = jm.p_xy[model.meas_perm.inverse.indices]
     joint = JointGaussian(m_x=m_pred, m_y=jm.m_y, p_xx=p_pred, p_xy=p_xy, p_yy=jm.p_yy + model.r)
     with _phase(k_next, "update"):
-        post = kalman_update(GaussianMoments(m_pred, p_pred), joint, y)
+        post = kalman_update(joint, y)
         cholesky_full(post.cov)  # the posterior must stay positive definite
-    record = None
-    if keep_prediction:
-        record = PredictionRecord(m_pred, p_pred, joint.m_y, joint.p_yy, p_xy)
-    return FilterState(k=k_next, mean=post.mean, cov=post.cov, prediction=record)
+    return FilterState(
+        k=k_next, mean=post.mean, cov=post.cov, prediction=joint if keep_prediction else None
+    )
 
 
 def lrkf_step(

@@ -1,10 +1,12 @@
 """Gaussian moment matching through nonlinear functions.
 
-Two evaluation routes are provided for the joint first/second moments of a
-Gaussian input and a function output:
+Every model function works column-wise: it maps a ``(dim, n)`` matrix of
+points to the matrix of their images, one column each.  Two evaluation
+routes are provided for the joint first/second moments of a Gaussian input
+and a function output:
 
 * :func:`match_full` runs the plain cubature sums, evaluating the function at
-  every integration point.
+  every integration point in one call.
 * :func:`match_pl` exploits the structure ``y = [A1 x + g(z); A x]``
   (nonlinear in the leading ``z`` coordinates only, ``A1`` optional): with a
   lower-triangular square root, points that do not perturb the leading block
@@ -70,10 +72,11 @@ class PartiallyLinearFunction:
     of ``x``, or ``y = [A1 x + g(z); A2 x]`` when ``a1`` is given (then ``a``
     plays the role of A2).
 
-    ``g`` works column-wise: it maps a ``(z_dim, n)`` matrix of points to the
-    ``(g_dim, n)`` matrix of their images, and any other output shape is
-    refused with ``ValueError``.  Every evaluation of ``g`` — one per
-    column — is tallied in ``g_eval_count``.
+    Like ``g``, the function works column-wise: calling it on an
+    ``(x_dim, n)`` matrix of points returns the ``(y_dim, n)`` matrix of
+    their images.  ``g`` maps a ``(z_dim, n)`` matrix to a ``(g_dim, n)``
+    one, and any other output shape is refused with ``ValueError``.  Every
+    evaluation of ``g`` — one per column — is tallied in ``g_eval_count``.
 
     The linear rows ``[A1; A]`` are applied in one of three exact forms,
     picked once here from the matrix itself: a row gather when every row
@@ -131,6 +134,8 @@ class PartiallyLinearFunction:
 
     def eval_g_batch(self, zmat: np.ndarray) -> np.ndarray:
         zmat = np.asarray(zmat, dtype=float)
+        if zmat.ndim != 2:
+            raise ValueError(f"expected a (z_dim, n) matrix of points, got shape {zmat.shape}")
         n = zmat.shape[1]
         self.g_eval_count += n
         out = np.asarray(self._g(zmat), dtype=float)
@@ -141,10 +146,7 @@ class PartiallyLinearFunction:
             )
         return out
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.eval_batch(np.asarray(x, dtype=float)[:, None])[:, 0]
-
-    def eval_batch(self, xmat: np.ndarray) -> np.ndarray:
+    def __call__(self, xmat: np.ndarray) -> np.ndarray:
         xmat = np.asarray(xmat, dtype=float)
         gz = self.eval_g_batch(xmat[: self.z_dim])
         ax = self._apply(xmat)
@@ -175,24 +177,18 @@ def _linear_form(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return functools.partial(np.matmul, a)
 
 
-def _eval_columns(f, xmat: np.ndarray) -> np.ndarray:
-    if hasattr(f, "eval_batch"):
-        return np.asarray(f.eval_batch(xmat), dtype=float)
-    cols = [np.asarray(f(xmat[:, j]), dtype=float) for j in range(xmat.shape[1])]
-    return np.column_stack(cols)
-
-
 def match_full(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule) -> JointGaussian:
     """Joint moments of ``x ~ N(m, p)`` and ``y = f(x)`` by plain cubature.
 
-    ``f`` is evaluated once per integration point (column-wise when it
-    exposes ``eval_batch``).  The input covariance must be symmetric positive
-    definite; its full lower-triangular Cholesky factor maps the unit-space
-    points into state space, so the points depend on the coordinate order of
-    ``m`` and ``p``.  In the order :func:`match_pl` gets (nonlinear
-    coordinates first) both use the same factor and agree up to roundoff.
-    As from :func:`match_pl`, the returned ``p_yy`` is exactly symmetric
-    (its lower triangle mirrored).
+    ``f`` works column-wise: it is called once, on the ``(dim, count)``
+    matrix of integration points, and must return one output column per
+    point; any other column count is refused with ``ValueError``.  The input
+    covariance must be symmetric positive definite; its full lower-triangular
+    Cholesky factor maps the unit-space points into state space, so the
+    points depend on the coordinate order of ``m`` and ``p``.  In the order
+    :func:`match_pl` gets (nonlinear coordinates first) both use the same
+    factor and agree up to roundoff.  As from :func:`match_pl`, the returned
+    ``p_yy`` is exactly symmetric (its lower triangle mirrored).
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (rule.dim,):
@@ -202,7 +198,12 @@ def match_full(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule) -> JointGaus
         raise ValueError("covariance dimension does not match rule dimension")
     dx = l @ rule.points
     xpts = m[:, None] + dx
-    ypts = _eval_columns(f, xpts)
+    ypts = np.asarray(f(xpts), dtype=float)
+    if ypts.ndim != 2 or ypts.shape[1] != rule.count:
+        raise ValueError(
+            f"f returned shape {ypts.shape} for a {xpts.shape} input, expected "
+            f"{rule.count} columns: f must map a (dim, n) matrix column-wise"
+        )
     w = rule.weights
     m_y = ypts @ w
     dy = ypts - m_y[:, None]

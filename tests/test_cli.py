@@ -221,8 +221,8 @@ class TestSimNis:
             state = FilterState(k=0, mean=data.init_mean, cov=data.init_cov)
             for k, y in enumerate(data.measurements):
                 state = step_fn(state, model, y, keep_prediction=True)
-                d = y - state.prediction.meas_mean
-                ref = float(d @ np.linalg.solve(state.prediction.meas_cov, d))
+                d = y - state.prediction.m_y
+                ref = float(d @ np.linalg.solve(state.prediction.p_yy, d))
                 assert abs(cols[f"nis_{tag}"][k] - ref) <= 1e-10 * ref, (tag, k)
 
 

@@ -462,6 +462,19 @@ class TestUniqueNonlinear:
         cr = classify(spherical_rule(4), 2)
         assert unique_nonlinear(cr) is unique_nonlinear(cr)
 
+    @pytest.mark.parametrize("virtual", [False, True], ids=["materialized", "virtual"])
+    def test_is_a_read_only_rule_of_dimension_z(self, virtual):
+        kind = RuleKind("gh", order=3)
+        cr = make_classified(kind, 5, 2, point_budget=10 if virtual else 3**5)
+        assert cr.materialized is not virtual
+        uq = cr.unique
+        assert isinstance(uq, CubatureRule)
+        assert uq.dim == 2 and uq.kind == kind
+        assert uq.points.shape == (2, uq.count)
+        for arr in (uq.points, uq.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
 
 class TestVirtualClassified:
     def test_matches_materialized(self):

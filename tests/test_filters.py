@@ -7,7 +7,6 @@ from plfilt import (
     EstimationModel,
     FilterState,
     FilterStepError,
-    GaussianMoments,
     InnovationDegenerateError,
     JointGaussian,
     NotPositiveDefiniteError,
@@ -83,7 +82,7 @@ class TestKalmanUpdate:
         m = rng.standard_normal(x)
         m_y = rng.standard_normal(y)
         joint = JointGaussian(m_x=m, m_y=m_y, p_xx=p, p_xy=p_xy, p_yy=p_yy)
-        post = kalman_update(GaussianMoments(m, p), joint, m_y.copy())
+        post = kalman_update(joint, m_y.copy())
         assert np.abs(post.mean - m).max() <= 1e-12
         shrink = p - p_xy @ np.linalg.inv(p_yy) @ p_xy.T
         assert np.abs(post.cov - shrink).max() <= 1e-10
@@ -93,7 +92,7 @@ class TestKalmanUpdate:
             m_x=np.zeros(1), m_y=np.zeros(1),
             p_xx=np.array([[1.0]]), p_xy=np.array([[0.5]]), p_yy=np.array([[1.25]]),
         )
-        post = kalman_update(GaussianMoments(np.zeros(1), np.array([[1.0]])), joint, np.array([1.0]))
+        post = kalman_update(joint, np.array([1.0]))
         assert post.mean[0] == pytest.approx(0.4, abs=1e-14)
         assert post.cov[0, 0] == pytest.approx(0.8, abs=1e-14)
 
@@ -105,7 +104,7 @@ class TestKalmanUpdate:
             m_x=m, m_y=np.zeros(y), p_xx=p,
             p_xy=np.zeros((x, y)), p_yy=random_spd(rng, y),
         )
-        post = kalman_update(GaussianMoments(m, p), joint, rng.standard_normal(y))
+        post = kalman_update(joint, rng.standard_normal(y))
         assert np.array_equal(post.mean, m)
         assert np.abs(post.cov - p).max() == 0.0
 
@@ -116,14 +115,14 @@ class TestKalmanUpdate:
             p_xy=np.zeros((x, y)), p_yy=np.zeros((y, y)),
         )
         with pytest.raises(InnovationDegenerateError):
-            kalman_update(GaussianMoments(np.zeros(x), np.eye(x)), joint, np.zeros(y))
+            kalman_update(joint, np.zeros(y))
         # the failing pivot of S is carried in the message and the cause
         joint = JointGaussian(
             m_x=np.zeros(x), m_y=np.zeros(3), p_xx=np.eye(x),
             p_xy=np.zeros((x, 3)), p_yy=np.diag([2.0, 1.0, -1.0]),
         )
         with pytest.raises(InnovationDegenerateError, match="pivot 2") as err:
-            kalman_update(GaussianMoments(np.zeros(x), np.eye(x)), joint, np.zeros(3))
+            kalman_update(joint, np.zeros(3))
         assert isinstance(err.value.__cause__, NotPositiveDefiniteError)
         assert err.value.__cause__.pivot == 2
 
@@ -136,13 +135,25 @@ class TestKalmanUpdate:
         m_y = rng.standard_normal(y)
         meas = m_y + rng.standard_normal(y)
         joint = JointGaussian(m_x=m, m_y=m_y, p_xx=p, p_xy=p_xy, p_yy=p_yy)
-        post = kalman_update(GaussianMoments(m, p), joint, meas)
+        post = kalman_update(joint, meas)
         gain = np.linalg.solve(p_yy, p_xy.T).T
         mean_ref = m + gain @ (meas - m_y)
         cov_ref = p - gain @ p_yy @ gain.T
         assert np.abs(post.mean - mean_ref).max() <= 1e-12 * np.abs(mean_ref).max()
         assert np.abs(post.cov - cov_ref).max() <= 1e-12 * np.abs(cov_ref).max()
         assert np.array_equal(post.cov, post.cov.T)
+
+    @pytest.mark.parametrize("block", ["m_x", "p_xx", "p_xy"])
+    def test_inconsistent_joint_refused(self, block):
+        # the state blocks are read from the joint, so they must agree
+        x, y = 4, 2
+        blocks = dict(
+            m_x=np.zeros(x), m_y=np.zeros(y), p_xx=np.eye(x),
+            p_xy=np.zeros((x, y)), p_yy=np.eye(y),
+        )
+        blocks[block] = blocks[block][:-1]
+        with pytest.raises(ValueError, match="inconsistent joint shapes"):
+            kalman_update(JointGaussian(**blocks), np.zeros(y))
 
 
 class TestLinearReduction:
@@ -240,10 +251,23 @@ class TestStructuredEquivalence:
         ref_pred = a @ state.mean
         for out in (plain, struct):
             assert out.prediction is not None
-            assert np.abs(out.prediction.mean - ref_pred).max() <= 1e-10
-            assert out.prediction.meas_mean.shape == (y_dim,)
-            assert out.prediction.cross_cov.shape == (x_dim, y_dim)
-        assert np.abs(plain.prediction.cross_cov - struct.prediction.cross_cov).max() <= 1e-9
+            assert np.abs(out.prediction.m_x - ref_pred).max() <= 1e-10
+            assert out.prediction.m_y.shape == (y_dim,)
+            assert out.prediction.p_xy.shape == (x_dim, y_dim)
+        assert np.abs(plain.prediction.p_xy - struct.prediction.p_xy).max() <= 1e-9
+
+    @pytest.mark.parametrize("step_fn", [lrkf_step, pl_lrkf_step], ids=["lrkf", "pl"])
+    def test_prediction_is_the_conditioned_joint(self, step_fn):
+        singer = SingerParams(agents=2)
+        sensor = BearingSensorParams()
+        model = fusion_model(singer, sensor)
+        data = simulate_tracking(singer, sensor, 5, np.random.SeedSequence(entropy=(5,)))
+        state = FilterState(k=0, mean=data.init_mean, cov=data.init_cov)
+        for y in data.measurements:
+            state = step_fn(state, model, y, keep_prediction=True)
+            post = kalman_update(state.prediction, y)
+            assert np.array_equal(post.mean, state.mean)
+            assert np.array_equal(post.cov, state.cov)
 
     def test_step_error_annotated(self, rng):
         x_dim, y_dim = 4, 2
@@ -305,7 +329,7 @@ class TestStructuredEquivalence:
             state = FilterState(k=0, mean=data.init_mean, cov=data.init_cov)
             for y in data.measurements:
                 state = step_fn(state, model, y, keep_prediction=True)
-                for cov in (state.cov, state.prediction.cov, state.prediction.meas_cov):
+                for cov in (state.cov, state.prediction.p_xx, state.prediction.p_yy):
                     assert np.array_equal(cov, cov.T), (step_fn.__name__, state.k)
 
     @pytest.mark.parametrize("step_fn", [lrkf_step, pl_lrkf_step], ids=["lrkf", "pl"])

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from plfilt import (
-    GaussianMoments,
     JointGaussian,
     NotPositiveDefiniteError,
     Permutation,
@@ -240,7 +239,7 @@ def test_inputs_left_unmodified(rng, order):
     cholesky_full(p)
     cholesky_full(s)
     cholesky_partial(p, z)
-    kalman_update(GaussianMoments(m, p), JointGaussian(m, m_y, p, p_xy, s), y)
+    kalman_update(JointGaussian(m, m_y, p, p_xy, s), y)
     match_full(plf, m, p, rule)
     match_pl(plf, m, p, classify(rule, z))
     for a, b in zip(inputs, before):

@@ -183,13 +183,13 @@ class TestFusionModel:
         model = fusion_model(params, BearingSensorParams())
         a_full, _ = singer_model(params)
         x = rng.standard_normal(18)
-        assert np.abs(model.flow(x) - a_full @ x).max() <= 1e-14
+        assert np.abs(model.flow(x[:, None])[:, 0] - a_full @ x).max() <= 1e-14
 
     def test_measurement_stacks_bearings_and_state(self, rng):
         n = 2
         model = fusion_model(SingerParams(agents=n), BearingSensorParams())
         x = rng.standard_normal(9 * n) + 3.0
-        y = model.measurement(x[model.meas_perm.indices])
+        y = model.measurement(x[model.meas_perm.indices, None])[:, 0]
         pos = np.concatenate([x[9 * i : 9 * i + 3] for i in range(n)])
         assert np.allclose(y[: 2 * n], stacked_bearings(pos, n))
         assert np.array_equal(y[2 * n :], x)
@@ -206,7 +206,7 @@ class TestFusionModel:
 class TestBenchmarkFunction:
     def test_values_and_seeding(self):
         plf = benchmark_function(2, 3, 123)
-        assert np.array_equal(plf(np.zeros(5))[:2], np.zeros(2))
+        assert np.array_equal(plf(np.zeros(5)[:, None])[:2, 0], np.zeros(2))
         assert np.array_equal(plf.eval_g_batch(np.array([[1.0], [2.0]])), [[6.0], [7.0]])
         assert np.array_equal(plf.a, benchmark_function(2, 3, 123).a)
         assert plf.a.shape == (3, 5)

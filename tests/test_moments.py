@@ -76,13 +76,23 @@ class TestMatchFull:
         assert joint.m_y[0] == pytest.approx(1.0, abs=1e-12)
         assert joint.p_yy[0, 0] == pytest.approx(2.0, abs=1e-12)
 
-    def test_plain_callable_called_per_point(self, rng):
+    def test_f_called_once_on_the_point_matrix(self, rng):
         x = 3
         rule = spherical_rule(x)
         m, p = trial_moments(rng, x)
         calls = []
-        match_full(lambda v: (calls.append(1), v)[1], m, p, rule)
-        assert len(calls) == rule.count
+        match_full(lambda v: (calls.append(v.copy()), v)[1], m, p, rule)
+        assert len(calls) == 1
+        l = np.linalg.cholesky(p)
+        assert calls[0].shape == (x, rule.count)
+        assert np.abs(calls[0] - (m[:, None] + l @ rule.points)).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "f", [lambda v: v[:, :-1], lambda v: v[0], lambda v: v.sum()], ids=["n-1", "1d", "scalar"]
+    )
+    def test_wrong_column_count_refused(self, f):
+        with pytest.raises(ValueError, match="column-wise"):
+            match_full(f, np.zeros(3), np.eye(3), spherical_rule(3))
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
@@ -93,7 +103,7 @@ class TestPartiallyLinearFunction:
     def test_counter(self, rng):
         plf = benchmark_function(2, 3, 1)
         assert plf.g_eval_count == 0
-        plf(np.arange(5.0))
+        plf(np.arange(5.0)[:, None])
         assert plf.g_eval_count == 1
         plf.eval_g_batch(rng.standard_normal((2, 7)))
         assert plf.g_eval_count == 8
@@ -105,13 +115,13 @@ class TestPartiallyLinearFunction:
         z = 3
         plf = benchmark_function(z, 4, 2)
         xmat = rng.standard_normal((7, 5))
-        batch = plf.eval_batch(xmat)
+        batch = plf(xmat)
         for j in range(5):
             x = xmat[:, j]
             v = x[:z]
             ref = np.concatenate((v + np.dot(v, v), plf.a @ x))
             assert np.abs(batch[:, j] - ref).max() <= 1e-14
-            assert np.abs(plf(x) - ref).max() <= 1e-14
+            assert np.abs(plf(x[:, None])[:, 0] - ref).max() <= 1e-14
 
     def test_single_point_g_refused(self, rng):
         # g must map a (z_dim, n) matrix column-wise; a g written for one
@@ -122,13 +132,15 @@ class TestPartiallyLinearFunction:
         with pytest.raises(ValueError, match=r"expected \(1, 4\)"):
             plf.eval_g_batch(rng.standard_normal((2, 4)))
         with pytest.raises(ValueError, match=r"expected \(1, 1\)"):
-            plf(np.ones(3))
+            plf(np.ones(3)[:, None])
+        with pytest.raises(ValueError, match="matrix of points"):
+            plf(np.ones(3))  # a single point is one column, not a vector
         with pytest.raises(ValueError, match="column-wise"):
             match_pl(plf, np.zeros(3), np.eye(3), classify(spherical_rule(3), 2))
 
     def test_benchmark_values(self):
         plf = benchmark_function(2, 3, 0)
-        assert np.array_equal(plf(np.zeros(5))[:2], np.zeros(2))
+        assert np.array_equal(plf(np.zeros(5)[:, None])[:2, 0], np.zeros(2))
         out = plf.eval_g_batch(np.array([[1.0], [2.0]]))
         assert np.array_equal(out, [[6.0], [7.0]])
 
@@ -219,10 +231,11 @@ class TestLinearForms:
         if plf.a1 is not None:
             gz = gz + plf.a1 @ xmat
         ref = np.vstack((gz, plf.a @ xmat))
-        batch = plf.eval_batch(xmat)
+        batch = plf(xmat)
         assert batch.shape == ref.shape
         assert np.abs(batch - ref).max() <= 1e-14 * (1 + np.abs(ref).max())
-        assert np.abs(plf(xmat[:, 2]) - ref[:, 2]).max() <= 1e-14 * (1 + np.abs(ref).max())
+        single = plf(xmat[:, 2, None])[:, 0]
+        assert np.abs(single - ref[:, 2]).max() <= 1e-14 * (1 + np.abs(ref).max())
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_match_pl_equals_match_full(self, rng, case):
@@ -244,7 +257,7 @@ class TestLinearForms:
         # the function keeps a read-only copy of the caller's matrix
         a = np.eye(6)[[3, 0, 5, 1, 4, 2]]
         plf = _sin_plf(a)
-        x = rng.standard_normal(6)
+        x = rng.standard_normal((6, 1))
         before = plf(x)
         a[0] = 5.0
         assert np.array_equal(plf(x), before)
@@ -461,7 +474,7 @@ class TestMatchGeneral:
         rule = unscented_rule(z + l, 1.0, 2.0)
         m, p = trial_moments(rng, z + l)
         jp = match_pl(plf, m, p, classify(rule, z))
-        jf = match_full(plf, m, p, rule)  # stacked form evaluated pointwise
+        jf = match_full(plf, m, p, rule)  # stacked form evaluated at every point
         for block in BLOCKS:
             a_blk = getattr(jf, block)
             assert np.abs(a_blk - getattr(jp, block)).max() <= 1e-10 * (1 + np.abs(a_blk).max())
