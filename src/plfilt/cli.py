@@ -43,13 +43,23 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _blas_library(module) -> str:
+    """Name and version of the BLAS ``module`` (numpy or scipy) was built
+    against, from its build configuration."""
+    blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{module.__name__} {blas['name']} {blas['version']}"
+
+
 def _environment_comments() -> list[str]:
-    """Comment lines recording the interpreter and library versions and the
-    BLAS thread variables, so a timing can be read against its setting."""
+    """Comment lines recording the interpreter and library versions, the
+    BLAS builds of numpy and scipy (each wheel may bundle its own; every
+    LAPACK call of a step runs on scipy's) and the BLAS thread variables,
+    so a timing can be read against its setting."""
     threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}" for var in _THREAD_VARS)
     return [
         f"versions: python {platform.python_version()}, numpy {np.__version__}, "
         f"scipy {scipy.__version__}",
+        f"blas libraries: {_blas_library(np)}, {_blas_library(scipy)}",
         f"blas threads: {threads}",
     ]
 

@@ -22,7 +22,14 @@ from .errors import (
     NotPositiveDefiniteError,
     PlfiltError,
 )
-from .linalg import Permutation, cholesky_full, mirror_lower, permute_moments
+from .linalg import (
+    Permutation,
+    _check_square,
+    _check_symmetric,
+    cholesky_full,
+    mirror_lower,
+    permute_moments,
+)
 from .moments import (
     GaussianMoments,
     JointGaussian,
@@ -108,14 +115,15 @@ class FilterState:
 def kalman_update(joint: JointGaussian, y: np.ndarray) -> GaussianMoments:
     """Condition the joint Gaussian of ``x`` and ``y`` on an observed ``y``.
 
-    With ``S = L L^T`` the factor of ``p_yy``, one ``dtrtrs`` gives
-    ``W^T = L^-1 P_xy^T`` and ``e = L^-1 (y - m_y)``; the posterior is
-    ``m_x + W e`` (``dgemv``) and ``P_xx - W W^T`` (one ``dsyrk`` on the
-    lower triangle of ``P_xx``, mirrored, so exactly symmetric).  ``dsyrk``
-    gets ``P_xx^T``, which is Fortran-ordered where ``P_xx`` is C-ordered,
-    and updates its upper triangle, so the copy it makes is a plain one.
-    A joint whose blocks' shapes disagree, or a misshapen or non-finite
-    ``y``, raises ``ValueError``.
+    With ``S = L L^T`` the factor of ``p_yy``, one right-side ``dtrsm`` on a
+    Fortran-ordered copy of ``P_xy`` gives ``W = P_xy L^-T``, and a vector
+    ``dtrtrs`` gives ``e = L^-1 (y - m_y)``; the posterior is ``m_x + W e``
+    (``dgemv``) and ``P_xx - W W^T`` (one ``dsyrk`` on the lower triangle of
+    ``P_xx``, mirrored, so exactly symmetric).  ``dsyrk`` gets ``P_xx^T``,
+    which is Fortran-ordered where ``P_xx`` is C-ordered, and updates its
+    upper triangle, so the copy it makes is a plain one.  A joint whose
+    blocks' shapes disagree, or a misshapen or non-finite ``y``, raises
+    ``ValueError``.
     """
     x, n = joint.x_dim, joint.y_dim
     shapes = (joint.m_x.shape, joint.p_xx.shape, joint.p_xy.shape, joint.p_yy.shape)
@@ -132,13 +140,12 @@ def kalman_update(joint: JointGaussian, y: np.ndarray) -> GaussianMoments:
         raise InnovationDegenerateError(
             f"innovation covariance not positive definite (pivot {exc.pivot})"
         ) from exc
-    rhs = np.empty((n, x + 1), order="F")
-    rhs[:, :x] = joint.p_xy.T
-    rhs[:, x] = y - joint.m_y
-    sol, _ = lapack.dtrtrs(l, rhs, lower=1, overwrite_b=1)  # positive diagonal: never singular
-    w_t = sol[:, :x]
-    mean = blas.dgemv(1.0, w_t, sol[:, x], beta=1.0, y=joint.m_x, trans=1)
-    cov_t = blas.dsyrk(-1.0, w_t, beta=1.0, c=joint.p_xx.T, trans=1, lower=0)
+    # dtrsm solves on a Fortran-ordered copy of p_xy; positive diagonal:
+    # neither solve meets a singular L
+    w = blas.dtrsm(1.0, l, joint.p_xy, side=1, lower=1, trans_a=1)
+    e, _ = lapack.dtrtrs(l, y - joint.m_y, lower=1, overwrite_b=1)
+    mean = blas.dgemv(1.0, w, e, beta=1.0, y=joint.m_x)
+    cov_t = blas.dsyrk(-1.0, w, beta=1.0, c=joint.p_xx.T, lower=0)
     return GaussianMoments(mean=mean, cov=mirror_lower(cov_t.T))
 
 
@@ -163,10 +170,15 @@ def _step(
     matches one model function on a classified rule.  Both matchers return
     an exactly symmetric ``p_yy`` and the model's noise is stored exactly
     symmetric, so the predicted, permuted and innovation covariances are
-    exactly symmetric as built."""
+    exactly symmetric as built.  ``state.cov`` is the one covariance a step
+    does not build, so it is checked on entry (finite, and symmetric within
+    :data:`~plfilt.linalg.SYMMETRY_RTOL`), before either matcher reads a
+    part of it."""
+    cov = _check_square(state.cov)
+    _check_symmetric(cov, cov.T)
     k_next = state.k + 1
     with _phase(k_next, "predict"):
-        jt = match(model.flow, state.mean, state.cov, model.flow_rule)
+        jt = match(model.flow, state.mean, cov, model.flow_rule)
     m_pred = jt.m_y
     p_pred = jt.p_yy + model.q
 

@@ -4,7 +4,11 @@ LAPACK, the lower-to-upper triangle mirror, and index-vector permutations.
 A matrix handed to a factorization is checked (finite, and symmetric within
 :data:`SYMMETRY_RTOL`), then its lower triangle is factored as given: no
 symmetrized copy is built.  The filters build every covariance exactly
-symmetric, so the triangle read is the whole matrix.
+symmetric, so the triangle read is the whole matrix, and the check takes a
+fast path on such input: one exact comparison of the two triangles and one
+finiteness test, with no float temporaries.  Only input that fails the
+comparison pays for the tolerance arithmetic, which accepts or refuses it
+as it would without the fast path.
 
 Permutations are deliberately kept as index vectors and applied as gathers;
 building dense permutation matrices here would defeat their purpose (a
@@ -28,10 +32,19 @@ from .errors import NotPositiveDefiniteError
 SYMMETRY_RTOL = 1e-10
 
 
-def _check_symmetric(block: np.ndarray, mirror: np.ndarray) -> None:
+def _check_symmetric(block: np.ndarray, mirror: np.ndarray, check_finite: bool = True) -> None:
     """Raise ``ValueError`` unless ``block`` and ``mirror`` (the transpose of
     the block on the other side of the diagonal) are finite and agree within
-    the symmetry tolerance."""
+    the symmetry tolerance.
+
+    Exactly equal triangles that are finite pass after one comparison and
+    one finiteness pass; a caller that reads finiteness elsewhere skips the
+    latter with ``check_finite=False``.  A NaN never compares equal, so only
+    an infinity can pass the comparison.  Anything else is measured against
+    the tolerance.
+    """
+    if np.array_equal(block, mirror) and (not check_finite or np.isfinite(block).all()):
+        return
     scale = float(np.abs(block).max(initial=0.0))
     if not math.isfinite(scale):  # before inf - inf can warn below
         raise ValueError("matrix contains non-finite values")
@@ -77,14 +90,22 @@ def cholesky_full(p: np.ndarray) -> np.ndarray:
     (with the failing pivot index) when ``p`` is not positive definite, and
     ``ValueError`` when ``p`` is asymmetric beyond tolerance or has a
     non-finite entry.
+
+    An exactly symmetric ``p`` costs one comparison before ``dpotrf``, and
+    its finiteness is read off the factor: an infinity in the lower triangle
+    either stops ``dpotrf`` or leaves a non-finite diagonal, and only then
+    is ``p`` scanned, so a non-finite entry is reported as such and not as
+    an indefinite pivot.
     """
     p = _check_square(p)
     # one copy serves both steps: read row by row it is pᵀ, so the check
     # compares contiguous arrays, and read column by column it is p in the
     # Fortran order dpotrf factors in place
     work = p.T.copy()
-    _check_symmetric(p, work)
+    _check_symmetric(p, work, check_finite=False)
     c, info = lapack.dpotrf(work.T, lower=1, clean=1, overwrite_a=1)
+    if (info > 0 or not np.isfinite(c.diagonal()).all()) and not np.isfinite(p).all():
+        raise ValueError("matrix contains non-finite values")
     if info > 0:
         raise NotPositiveDefiniteError(pivot=info - 1)
     if info < 0:
@@ -115,7 +136,9 @@ def cholesky_partial(p: np.ndarray, z: int) -> PartialCholesky:
     leading block: an indefiniteness beyond the first ``z`` pivots, or a
     non-finite entry in the trailing block, goes undetected by design.  As
     in :func:`cholesky_full`, the checked strip's lower triangle is factored
-    as given, so both functions factor the same triangle.
+    as given, so both functions factor the same triangle, and an exactly
+    symmetric strip costs one comparison.  Its finiteness is tested
+    explicitly, since the strip's trailing rows never reach ``dpotrf``.
     """
     p = _check_square(p)
     x = p.shape[0]

@@ -226,20 +226,22 @@ class TestSimNis:
                 assert abs(cols[f"nis_{tag}"][k] - ref) <= 1e-10 * ref, (tag, k)
 
 
+def _comments(command):
+    """The comment lines of a tiny ``bench`` or ``sim`` run."""
+    if command == "bench":
+        cfg = bench_config_from(merged_config(None, {"bench.dims": "2x3", "bench.trials": "2"}))
+        return run_bench(cfg)[0]
+    cfg = sim_config_from(merged_config(None, {"sim.agents": "1", "sim.steps": "2"}))
+    return run_sim(cfg)[0]
+
+
 class TestEnvironmentComments:
     @pytest.mark.parametrize("command", ["bench", "sim"])
     def test_versions_and_thread_variables(self, monkeypatch, command):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         monkeypatch.setenv("MKL_NUM_THREADS", "2")
-        if command == "bench":
-            cfg = bench_config_from(
-                merged_config(None, {"bench.dims": "2x3", "bench.trials": "2"})
-            )
-            comments, _, _ = run_bench(cfg)
-        else:
-            cfg = sim_config_from(merged_config(None, {"sim.agents": "1", "sim.steps": "2"}))
-            comments, _, _ = run_sim(cfg)
+        comments = _comments(command)
         assert (
             f"versions: python {platform.python_version()}, numpy {np.__version__}, "
             f"scipy {scipy.__version__}"
@@ -247,6 +249,14 @@ class TestEnvironmentComments:
         assert (
             "blas threads: OPENBLAS_NUM_THREADS=3, OMP_NUM_THREADS=unset, MKL_NUM_THREADS=2"
         ) in comments
+
+    @pytest.mark.parametrize("command", ["bench", "sim"])
+    def test_blas_libraries(self, command):
+        (line,) = [c for c in _comments(command) if c.startswith("blas libraries: ")]
+        numpy_part, scipy_part = line.removeprefix("blas libraries: ").split(", ")
+        for part, module in ((numpy_part, np), (scipy_part, scipy)):
+            blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            assert part == f"{module.__name__} {blas['name']} {blas['version']}"
 
 
 class TestMain:

@@ -126,11 +126,18 @@ class TestKalmanUpdate:
         assert isinstance(err.value.__cause__, NotPositiveDefiniteError)
         assert err.value.__cause__.pivot == 2
 
-    @pytest.mark.parametrize("x, y", [(3, 2), (27, 33), (40, 10)])
-    def test_matches_textbook_gain(self, rng, x, y):
+    @pytest.mark.parametrize(
+        "x, y, order",
+        [(3, 2, None), (27, 33, None), (40, 10, None)]
+        + [(x, y, order) for x, y in ((27, 33), (40, 10)) for order in "CF"],
+        ids=["3-2", "27-33", "40-10", "27-33-C", "27-33-F", "40-10-C", "40-10-F"],
+    )
+    def test_matches_textbook_gain(self, rng, x, y, order):
         # a valid joint covariance, so the posterior is a proper Schur complement
         joint_cov = random_spd(rng, x + y)
         p, p_xy, p_yy = joint_cov[:x, :x], joint_cov[:x, x:], joint_cov[x:, x:]
+        if order:  # contiguous copies instead of the strided blocks
+            p, p_xy = np.array(p, order=order), np.array(p_xy, order=order)
         m = rng.standard_normal(x)
         m_y = rng.standard_normal(y)
         meas = m_y + rng.standard_normal(y)
@@ -331,6 +338,32 @@ class TestStructuredEquivalence:
                 state = step_fn(state, model, y, keep_prediction=True)
                 for cov in (state.cov, state.prediction.p_xx, state.prediction.p_yy):
                     assert np.array_equal(cov, cov.T), (step_fn.__name__, state.k)
+
+    @pytest.mark.parametrize("step_fn", [lrkf_step, pl_lrkf_step], ids=["lrkf", "pl"])
+    @pytest.mark.parametrize(
+        "entry, value, message",
+        [
+            ((5, 3), 1e-3, "asymmetric beyond tolerance"),
+            ((5, 3), np.nan, "non-finite"),
+            (([20, 25], [25, 20]), np.inf, "non-finite"),
+        ],
+        ids=["asymmetric", "nan", "inf-pair"],
+    )
+    def test_bad_state_covariance_refused_on_entry(self, step_fn, entry, value, message):
+        # refused before any matching, by both filters alike: the structured
+        # flow match reads only column 0 of the covariance, so it would not
+        # see a fault beyond it on its own
+        singer = SingerParams(agents=3)
+        sensor = BearingSensorParams()
+        model = fusion_model(singer, sensor)
+        data = simulate_tracking(singer, sensor, 1, np.random.SeedSequence(entropy=(5,)))
+        cov = data.init_cov.copy()
+        cov[entry] += value * np.abs(cov).max()
+        state = FilterState(k=0, mean=data.init_mean, cov=cov)
+        model.flow.reset_g_eval_count()
+        with pytest.raises(ValueError, match=message):
+            step_fn(state, model, data.measurements[0])
+        assert model.flow.g_eval_count == 0
 
     @pytest.mark.parametrize("step_fn", [lrkf_step, pl_lrkf_step], ids=["lrkf", "pl"])
     def test_non_finite_measurement_rejected(self, step_fn):

@@ -65,6 +65,19 @@ class TestCholeskyFull:
             q[entry] = value
             with pytest.raises(ValueError, match="non-finite"):
                 cholesky_full(q)
+        # so does a symmetric non-finite pair or diagonal entry; an infinity
+        # there passes the exact comparison and must be caught past dpotrf,
+        # whose blocked path the 90x90 case takes
+        for n, entry in ((5, ([3, 1], [1, 3])), (90, ([80, 10], [10, 80])), (5, (2, 2))):
+            for value in (np.inf, -np.inf, np.nan):
+                q = random_spd(rng, n)
+                q[entry] = value
+                with pytest.raises(ValueError, match="non-finite"):
+                    cholesky_full(q)
+                # and not as the indefinite pivot dpotrf stops at before it
+                q[0, 0] = -1.0
+                with pytest.raises(ValueError, match="non-finite"):
+                    cholesky_full(q)
 
     def test_small_asymmetry_symmetrized(self, rng):
         p = random_spd(rng, 5)
@@ -113,8 +126,17 @@ class TestCholeskyPartial:
 
     @pytest.mark.parametrize(
         "entry, value",
-        [((1, 1), np.nan), ((4, 0), np.nan), ((0, 4), np.nan), ((0, 0), np.inf)],
-        ids=["nan-diag", "nan-strip", "nan-leading-row", "inf-diag"],
+        [
+            ((1, 1), np.nan), ((4, 0), np.nan), ((0, 4), np.nan), ((0, 0), np.inf),
+            # symmetric pairs: an infinite one passes the exact comparison
+            (([4, 0], [0, 4]), np.inf), (([4, 0], [0, 4]), -np.inf), (([4, 0], [0, 4]), np.nan),
+            (([1, 0], [0, 1]), np.inf), (([1, 0], [0, 1]), -np.inf), (([1, 0], [0, 1]), np.nan),
+        ],
+        ids=[
+            "nan-diag", "nan-strip", "nan-leading-row", "inf-diag",
+            "inf-pair-strip", "-inf-pair-strip", "nan-pair-strip",
+            "inf-pair-leading", "-inf-pair-leading", "nan-pair-leading",
+        ],
     )
     def test_non_finite_leading_block_rejected(self, rng, entry, value):
         p = random_spd(rng, 6)
