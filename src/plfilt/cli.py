@@ -31,7 +31,7 @@ from .models import (
     fusion_model,
     simulate_tracking,
 )
-from .moments import JointGaussian, match_full, match_pl
+from .moments import match_full, match_pl
 
 _TIMING_FLOOR_S = 0.2  # each timed mode accumulates at least this much wall time
 
@@ -356,10 +356,12 @@ def _block_indices(n_agents: int):
     return np.array(pos), np.array(vel), np.array(acc)
 
 
-def _nis(pred: JointGaussian, y: np.ndarray) -> float:
-    """Normalized innovation squared ``eᵀe``, ``e = L⁻¹ (y − m_y)`` with
-    ``L`` the Cholesky factor of the predicted measurement covariance."""
-    e = solve_triangular(cholesky_full(pred.p_yy), y - pred.m_y, lower=True)
+def _normalized_squared(cov: np.ndarray, d: np.ndarray) -> float:
+    """``dᵀ cov⁻¹ d`` as ``eᵀe``, ``e = L⁻¹ d`` with ``L`` the Cholesky
+    factor of ``cov``: the NIS of an innovation against the predicted
+    measurement covariance, the NEES of an estimate error against the
+    posterior covariance."""
+    e = solve_triangular(cholesky_full(cov), d, lower=True)
     return float(e @ e)
 
 
@@ -376,8 +378,9 @@ def run_sim(cfg: SimConfig):
     header = ["k"]
     for mode in active:
         tag = labels[mode]
-        header += [f"rms_pos_{tag}", f"rms_vel_{tag}", f"rms_acc_{tag}"]
-        header += [f"env3_pos_{tag}", f"env3_vel_{tag}", f"env3_acc_{tag}", f"nis_{tag}"]
+        header += [f"g_evals_{tag}", f"rms_pos_{tag}", f"rms_vel_{tag}", f"rms_acc_{tag}"]
+        header += [f"nees_{tag}", f"env3_pos_{tag}", f"env3_vel_{tag}", f"env3_acc_{tag}"]
+        header.append(f"nis_{tag}")
     if len(active) == 2:
         header.append("mean_diff")
 
@@ -390,14 +393,19 @@ def run_sim(cfg: SimConfig):
         y = data.measurements[k - 1]
         row = [k]
         for mode in active:
+            model.flow.reset_g_eval_count()
+            model.measurement.reset_g_eval_count()
             states[mode] = runners[mode](states[mode], model, y, keep_prediction=True)
+            row.append(model.flow.g_eval_count + model.measurement.g_eval_count)
             err = states[mode].mean - data.truth[k]
             var = np.diag(states[mode].cov)
             for idx in blocks:
                 row.append(_fmt(float(np.sqrt(np.mean(err[idx] ** 2)))))
+            row.append(_fmt(_normalized_squared(states[mode].cov, err)))
             for idx in blocks:
                 row.append(_fmt(3.0 * float(np.sqrt(np.mean(var[idx])))))
-            row.append(_fmt(_nis(states[mode].prediction, y)))
+            pred = states[mode].prediction
+            row.append(_fmt(_normalized_squared(pred.p_yy, y - pred.m_y)))
         if len(active) == 2:
             row.append(_fmt(float(np.linalg.norm(states["full"].mean - states["pl"].mean))))
         rows.append(row)

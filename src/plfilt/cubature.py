@@ -25,11 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import PointBudgetExceededError
+from .linalg import _linear_form
 
 DEFAULT_POINT_BUDGET = 10_000_000
 # roundoff bound of the preconditions that classify checks, relative to a
@@ -97,6 +99,16 @@ class CubatureRule:
         w = self.weights
         second = (self.points * w) @ self.points.T
         return abs(float(w.sum()) - 1.0), float(np.abs(second - np.eye(self.dim)).max())
+
+    @cached_property
+    def point_form(self) -> Callable[[np.ndarray], np.ndarray]:
+        """``L -> L @ points`` for a matrix ``L`` with ``dim`` columns, in
+        the cheapest exact form the points admit (see
+        :func:`plfilt.linalg._linear_form`), picked on first use.  The
+        spherical and unscented points, ``c [0, I, -I]``, hold at most one
+        nonzero per column, so from 45 dimensions up they are a column
+        gather and a scale; Gauss-Hermite grids keep the dense product."""
+        return _linear_form(self.points, right=True)
 
 
 def spherical_rule(x: int) -> CubatureRule:
@@ -235,6 +247,18 @@ class ClassifiedRule:
     @property
     def materialized(self) -> bool:
         return self.base is not None
+
+    @cached_property
+    def zero_and_unique(self) -> CubatureRule:
+        """The one weighted point set the structured path sums over, built
+        on first use: column 0 is the zero point, carrying the central and
+        linear points' summed weight ``w_cl``, and the other columns are
+        ``unique``'s grouped nonlinear points with their weights."""
+        uq = self.unique
+        points = np.zeros((self.z_dim, 1 + uq.count))
+        points[:, 1:] = uq.points
+        weights = np.concatenate(([self.w_cl], uq.weights))
+        return CubatureRule(self.z_dim, weights, points, self.kind)
 
 
 def classify(rule: CubatureRule, z: int) -> ClassifiedRule:

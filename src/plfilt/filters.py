@@ -34,6 +34,7 @@ from .moments import (
     GaussianMoments,
     JointGaussian,
     PartiallyLinearFunction,
+    _plain_sums,
     match_full,
     match_pl,
 )
@@ -159,28 +160,47 @@ def _phase(step: int, phase: str):
         raise FilterStepError(step, phase, str(exc)) from exc
 
 
+def _predict_materialized(f, m: np.ndarray, p: np.ndarray, cr: ClassifiedRule):
+    return _plain_sums(f, m, p, cr.base)[:2]
+
+
+def _predict_structured(f, m: np.ndarray, p: np.ndarray, cr: ClassifiedRule):
+    jt = match_pl(f, m, p, cr)
+    return jt.m_y, jt.p_yy
+
+
 def _match_materialized(f, m: np.ndarray, p: np.ndarray, cr: ClassifiedRule) -> JointGaussian:
     return match_full(f, m, p, cr.base)
 
 
 def _step(
-    state: FilterState, model: EstimationModel, y: np.ndarray, keep_prediction: bool, match
+    state: FilterState,
+    model: EstimationModel,
+    y: np.ndarray,
+    keep_prediction: bool,
+    predict,
+    match,
 ) -> FilterState:
-    """The predict/update cycle both filters share; ``match(f, m, p, cr)``
-    matches one model function on a classified rule.  Both matchers return
-    an exactly symmetric ``p_yy`` and the model's noise is stored exactly
+    """The predict/update cycle both filters share.  ``predict(f, m, p, cr)``
+    returns the mean and covariance of the flow's output, which is all a
+    step reads of the flow; ``match(f, m, p, cr)`` matches the measurement
+    jointly with the state.  Both run on a classified rule, and both return
+    an exactly symmetric covariance; the model's noise is stored exactly
     symmetric, so the predicted, permuted and innovation covariances are
     exactly symmetric as built.  ``state.cov`` is the one covariance a step
     does not build, so it is checked on entry (finite, and symmetric within
     :data:`~plfilt.linalg.SYMMETRY_RTOL`), before either matcher reads a
-    part of it."""
+    part of it.  Input within the tolerance whose triangles differ is
+    stepped on with its lower triangle mirrored, the triangle the
+    factorizations read, so the structured flow's ``A P`` reads the same
+    matrix too."""
     cov = _check_square(state.cov)
-    _check_symmetric(cov, cov.T)
+    if not _check_symmetric(cov, cov.T):
+        cov = mirror_lower(cov)
     k_next = state.k + 1
     with _phase(k_next, "predict"):
-        jt = match(model.flow, state.mean, cov, model.flow_rule)
-    m_pred = jt.m_y
-    p_pred = jt.p_yy + model.q
+        m_pred, p_flow = predict(model.flow, state.mean, cov, model.flow_rule)
+    p_pred = p_flow + model.q
 
     m_bar, p_bar = permute_moments(model.meas_perm, m_pred, p_pred)
     with _phase(k_next, "measure"):
@@ -206,13 +226,15 @@ def lrkf_step(
 
     Both the flow and the measurement are pushed through the full cubature
     sums; the model functions are evaluated at every point of the
-    materialized rules.  The measurement is matched in the same permuted
-    coordinates as in :func:`pl_lrkf_step`, so both filters use the same
-    sigma points and agree up to roundoff.
+    materialized rules.  The flow's sums stop at its output covariance,
+    since the step never reads the flow's cross covariance.  The
+    measurement is matched in the same permuted coordinates as in
+    :func:`pl_lrkf_step`, so both filters use the same sigma points and
+    agree up to roundoff.
     """
     if model.flow_rule.base is None or model.meas_rule.base is None:
         raise ValueError("the unstructured filter path needs materialized rules")
-    return _step(state, model, y, keep_prediction, _match_materialized)
+    return _step(state, model, y, keep_prediction, _predict_materialized, _match_materialized)
 
 
 def pl_lrkf_step(
@@ -233,4 +255,4 @@ def pl_lrkf_step(
     two agree up to roundoff while this one evaluates only the nonlinear
     blocks of the model functions.
     """
-    return _step(state, model, y, keep_prediction, match_pl)
+    return _step(state, model, y, keep_prediction, _predict_structured, match_pl)

@@ -1,5 +1,6 @@
 """Dense symmetric-matrix utilities: full and partial Cholesky factors from
-LAPACK, the lower-to-upper triangle mirror, and index-vector permutations.
+LAPACK, the lower-to-upper triangle mirror, index-vector permutations, and
+the exact form of a product with a constant matrix.
 
 A matrix handed to a factorization is checked (finite, and symmetric within
 :data:`SYMMETRY_RTOL`), then its lower triangle is factored as given: no
@@ -16,9 +17,11 @@ reindexing should cost next to nothing).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import lapack
@@ -32,10 +35,10 @@ from .errors import NotPositiveDefiniteError
 SYMMETRY_RTOL = 1e-10
 
 
-def _check_symmetric(block: np.ndarray, mirror: np.ndarray, check_finite: bool = True) -> None:
+def _check_symmetric(block: np.ndarray, mirror: np.ndarray, check_finite: bool = True) -> bool:
     """Raise ``ValueError`` unless ``block`` and ``mirror`` (the transpose of
     the block on the other side of the diagonal) are finite and agree within
-    the symmetry tolerance.
+    the symmetry tolerance; return whether they are exactly equal.
 
     Exactly equal triangles that are finite pass after one comparison and
     one finiteness pass; a caller that reads finiteness elsewhere skips the
@@ -43,8 +46,9 @@ def _check_symmetric(block: np.ndarray, mirror: np.ndarray, check_finite: bool =
     an infinity can pass the comparison.  Anything else is measured against
     the tolerance.
     """
-    if np.array_equal(block, mirror) and (not check_finite or np.isfinite(block).all()):
-        return
+    if np.array_equal(block, mirror):
+        if not check_finite or np.isfinite(block).all():
+            return True
     scale = float(np.abs(block).max(initial=0.0))
     if not math.isfinite(scale):  # before inf - inf can warn below
         raise ValueError("matrix contains non-finite values")
@@ -56,6 +60,7 @@ def _check_symmetric(block: np.ndarray, mirror: np.ndarray, check_finite: bool =
         raise ValueError(
             f"matrix is asymmetric beyond tolerance ({asym:.3e} > {SYMMETRY_RTOL:.0e} * {scale:.3e})"
         )
+    return False
 
 
 def _check_square(p: np.ndarray) -> np.ndarray:
@@ -203,3 +208,66 @@ def permute_moments(perm: Permutation, m: np.ndarray, p: np.ndarray):
             f"moment shapes {m.shape}/{p.shape} do not match permutation of size {idx.size}"
         )
     return m[idx], p[idx][:, idx]
+
+
+# A column gather costs about as much as writing the product, the dense
+# product that times its inner dimension, so the gather pays from some inner
+# dimension up; below it one matmul call has the lower overhead.  Measured
+# with one BLAS thread on a 2-vCPU Xeon VM (best of 7, µs, gather against
+# dense): 3.9/2.9 at 27, 12.1/12.2 at 45, 25/67 at 90 and 231/1447 at 270.
+_GATHER_MIN_INNER = 45
+
+
+def _block_diagonal(blocks: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    n, b, _ = blocks.shape
+    return (blocks @ mat.reshape(n, b, -1)).reshape(mat.shape)
+
+
+def _matmul_right(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    return mat @ a
+
+
+def _scaled_columns(idx: np.ndarray, vals: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    out = mat.take(idx, axis=1)  # a new C-ordered array, scaled in place
+    out *= vals
+    return out
+
+
+def _linear_form(a: np.ndarray, right: bool = False) -> Callable[[np.ndarray], np.ndarray]:
+    """``M -> a @ M`` for a vector or a matrix ``M``, or with ``right``
+    ``M -> M @ a`` for a matrix ``M``, in the cheapest exact form the finite
+    matrix ``a`` admits.  The form is picked once, from ``a`` alone:
+
+    * on the left, when every row holds a single 1 and zeros elsewhere, a
+      row gather;
+    * on the left, when ``a`` is square and, for the smallest ``b`` dividing
+      its size that allows it, every nonzero lies in a diagonal ``b x b``
+      block, a batched product of those blocks;
+    * on the right, when every column holds at most one nonzero and ``a``
+      has at least :data:`_GATHER_MIN_INNER` rows, a gather of the columns
+      of ``M`` those nonzeros pick, scaled by them in place (a zero column
+      of ``a`` gives a zero column).  For finite ``M`` each entry is the one
+      nonzero product of the dense sum, so the two agree exactly;
+    * the dense product otherwise.
+
+    Both right forms return a new C-ordered array, so a product formed from
+    it afterwards runs as it would on the dense product's result.
+    """
+    if right:
+        if a.shape[0] >= _GATHER_MIN_INNER and (np.count_nonzero(a, axis=0) <= 1).all():
+            idx = np.abs(a).argmax(axis=0)
+            vals = a[idx, np.arange(a.shape[1])]
+            return functools.partial(_scaled_columns, idx, vals)
+        return functools.partial(_matmul_right, a)
+    rows, cols = np.nonzero(a)  # row-major, so one nonzero per row gives rows 0..n-1
+    if np.array_equal(rows, np.arange(a.shape[0])) and (a[rows, cols] == 1.0).all():
+        return functools.partial(np.take, indices=cols, axis=0)
+    x = a.shape[1]
+    if a.shape[0] == x:
+        # a block must be wider than the farthest nonzero is from the diagonal
+        for b in range(int(np.abs(rows - cols).max(initial=0)) + 1, x):
+            if x % b == 0 and np.array_equal(rows // b, cols // b):
+                n = x // b
+                diag = np.arange(n)
+                return functools.partial(_block_diagonal, a.reshape(n, b, n, b)[diag, :, diag])
+    return functools.partial(np.matmul, a)

@@ -18,14 +18,13 @@ and a function output:
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .cubature import ClassifiedRule, CubatureRule, unique_nonlinear
-from .linalg import cholesky_full, cholesky_partial, mirror_lower
+from .linalg import _linear_form, cholesky_full, cholesky_partial, mirror_lower
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,8 @@ class PartiallyLinearFunction:
     evaluation of ``g`` — one per column — is tallied in ``g_eval_count``.
 
     The linear rows ``[A1; A]`` are applied in one of three exact forms,
-    picked once here from the matrix itself: a row gather when every row
+    picked once here from the matrix itself by
+    :func:`plfilt.linalg._linear_form`: a row gather when every row
     holds a single 1 and zeros elsewhere; a batched product of diagonal
     ``b x b`` blocks when the matrix is square and, for the smallest ``b``
     dividing ``x_dim`` that allows it, every nonzero lies in such a block;
@@ -155,40 +155,13 @@ class PartiallyLinearFunction:
         return np.vstack((gz, ax[self._n1 :]))
 
 
-def _block_diagonal(blocks: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    n, b, _ = blocks.shape
-    return (blocks @ mat.reshape(n, b, -1)).reshape(mat.shape)
+def _plain_sums(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule):
+    """The plain cubature sums of :func:`match_full` up to ``p_yy``.
 
-
-def _linear_form(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """``M -> a @ M`` for a vector or a matrix ``M``, in the cheapest exact
-    form the finite matrix ``a`` admits (see :class:`PartiallyLinearFunction`)."""
-    rows, cols = np.nonzero(a)  # row-major, so one nonzero per row gives rows 0..n-1
-    if np.array_equal(rows, np.arange(a.shape[0])) and (a[rows, cols] == 1.0).all():
-        return functools.partial(np.take, indices=cols, axis=0)
-    x = a.shape[1]
-    if a.shape[0] == x:
-        # a block must be wider than the farthest nonzero is from the diagonal
-        for b in range(int(np.abs(rows - cols).max(initial=0)) + 1, x):
-            if x % b == 0 and np.array_equal(rows // b, cols // b):
-                n = x // b
-                diag = np.arange(n)
-                return functools.partial(_block_diagonal, a.reshape(n, b, n, b)[diag, :, diag])
-    return functools.partial(np.matmul, a)
-
-
-def match_full(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule) -> JointGaussian:
-    """Joint moments of ``x ~ N(m, p)`` and ``y = f(x)`` by plain cubature.
-
-    ``f`` works column-wise: it is called once, on the ``(dim, count)``
-    matrix of integration points, and must return one output column per
-    point; any other column count is refused with ``ValueError``.  The input
-    covariance must be symmetric positive definite; its full lower-triangular
-    Cholesky factor maps the unit-space points into state space, so the
-    points depend on the coordinate order of ``m`` and ``p``.  In the order
-    :func:`match_pl` gets (nonlinear coordinates first) both use the same
-    factor and agree up to roundoff.  As from :func:`match_pl`, the returned
-    ``p_yy`` is exactly symmetric (its lower triangle mirrored).
+    Returns ``(m_y, p_yy, dx, dy)``: the output mean, the exactly symmetric
+    output covariance, and the points' deviations from the input and the
+    output mean, from which :func:`match_full` forms ``p_xy``.  A filter's
+    predict reads only the first two.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (rule.dim,):
@@ -196,7 +169,7 @@ def match_full(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule) -> JointGaus
     l = cholesky_full(p)
     if l.shape[0] != rule.dim:
         raise ValueError("covariance dimension does not match rule dimension")
-    dx = l @ rule.points
+    dx = rule.point_form(l)
     xpts = m[:, None] + dx
     ypts = np.asarray(f(xpts), dtype=float)
     if ypts.ndim != 2 or ypts.shape[1] != rule.count:
@@ -207,9 +180,36 @@ def match_full(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule) -> JointGaus
     w = rule.weights
     m_y = ypts @ w
     dy = ypts - m_y[:, None]
-    p_xy = (dx * w) @ dy.T
     p_yy = mirror_lower((dy * w) @ dy.T)
-    return JointGaussian(m_x=m, m_y=m_y, p_xx=np.asarray(p, dtype=float), p_xy=p_xy, p_yy=p_yy)
+    return m_y, p_yy, dx, dy
+
+
+def match_full(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule) -> JointGaussian:
+    """Joint moments of ``x ~ N(m, p)`` and ``y = f(x)`` by plain cubature.
+
+    ``f`` works column-wise: it is called once, on the ``(dim, count)``
+    matrix of integration points, and must return one output column per
+    point; any other column count is refused with ``ValueError``.  The input
+    covariance must be symmetric positive definite; its full lower-triangular
+    Cholesky factor ``L`` maps the unit-space points into state space, so the
+    points depend on the coordinate order of ``m`` and ``p``.  In the order
+    :func:`match_pl` gets (nonlinear coordinates first) both use the same
+    factor and agree up to roundoff.  ``L`` times the points is applied in
+    the form the rule picked for them (:attr:`CubatureRule.point_form`): a
+    column gather and a scale for the spherical and unscented points from
+    45 dimensions up, the dense product otherwise.  As from
+    :func:`match_pl`, the returned ``p_yy`` is exactly symmetric (its lower
+    triangle mirrored).
+    """
+    m_y, p_yy, dx, dy = _plain_sums(f, m, p, rule)
+    p_xy = (dx * rule.weights) @ dy.T
+    return JointGaussian(
+        m_x=np.asarray(m, dtype=float),
+        m_y=m_y,
+        p_xx=np.asarray(p, dtype=float),
+        p_xy=p_xy,
+        p_yy=p_yy,
+    )
 
 
 def match_pl(
@@ -223,14 +223,17 @@ def match_pl(
     The sums run on one weighted point set in unit space: column 0 is the
     zero point, standing for every central and linear point (they all map to
     the input z-mean) with their summed weight ``cr.w_cl``, and the other
-    columns are the nonlinear points grouped by leading block.  ``g`` is
-    evaluated once per column, ``1 + n`` times in one call, and only the
-    leading ``z`` columns of the input covariance's Cholesky factor are
-    needed.  The closed-form linear sums run on the stacked rows ``[A1; A]``,
-    in the form the function picked for them; the ``A1`` block is then
-    folded onto the ``g`` block.  ``P Aᵀ`` is formed as ``(A P)ᵀ``, which
-    relies on the input covariance being symmetric.  The returned ``p_yy``
-    is exactly symmetric (its lower blocks mirrored).
+    columns are the nonlinear points grouped by leading block.  The set
+    and its weights are built once per rule
+    (:attr:`ClassifiedRule.zero_and_unique`), and the leading ``z`` columns
+    of the input covariance's Cholesky factor, the only ones needed, map it
+    into state space in the form the set picked
+    (:attr:`CubatureRule.point_form`).  ``g`` is evaluated once per column,
+    ``1 + n`` times in one call.  The closed-form linear sums run on the
+    stacked rows ``[A1; A]``, in the form the function picked for them; the
+    ``A1`` block is then folded onto the ``g`` block.  ``P Aᵀ`` is formed
+    as ``(A P)ᵀ``, which relies on the input covariance being symmetric.
+    The returned ``p_yy`` is exactly symmetric (its lower blocks mirrored).
     """
     if plf.x_dim != cr.dim:
         raise ValueError(f"function x_dim {plf.x_dim} does not match rule dimension {cr.dim}")
@@ -241,13 +244,14 @@ def match_pl(
         raise ValueError(f"mean shape {m.shape} does not match dimension {cr.dim}")
     z = cr.z_dim
 
+    # the grouped points are read through unique_nonlinear on every call, so
+    # a trace of it sees each match; the stacked set is built once per rule
+    unique_nonlinear(cr)
+    pts = cr.zero_and_unique
+    w = pts.weights
     # trailing coordinates are zero in every column, so the first z columns
     # of the Cholesky factor map the points into state space
-    uq = unique_nonlinear(cr)
-    s = np.zeros((z, 1 + uq.count))
-    s[:, 1:] = uq.points
-    w = np.concatenate(([cr.w_cl], uq.weights))
-    l_xi = cholesky_partial(p, z).column_block() @ s  # (X, 1 + n), column 0 zero
+    l_xi = pts.point_form(cholesky_partial(p, z).column_block())  # (X, 1 + n), column 0 zero
     g_all = plf.eval_g_batch(m[:z, None] + l_xi[:z])
     m_g = g_all @ w
     dg = g_all - m_g[:, None]

@@ -226,6 +226,46 @@ class TestSimNis:
                 assert abs(cols[f"nis_{tag}"][k] - ref) <= 1e-10 * ref, (tag, k)
 
 
+class TestSimNeesAndEvaluations:
+    CFG = {"sim.agents": "3", "sim.steps": "8", "seed": "11"}
+
+    def _columns(self, cfg=None):
+        _, header, rows = run_sim(sim_config_from(merged_config(None, cfg or self.CFG)))
+        return {name: np.array([float(row[i]) for row in rows]) for i, name in enumerate(header)}
+
+    def test_column_order(self):
+        header = list(self._columns())
+        for tag in ("lrkf", "pl"):
+            assert header.index(f"g_evals_{tag}") == header.index(f"rms_pos_{tag}") - 1
+            assert header.index(f"nees_{tag}") == header.index(f"rms_acc_{tag}") + 1
+            assert header.index(f"env3_pos_{tag}") == header.index(f"nees_{tag}") + 1
+
+    def test_g_evaluations_per_step(self):
+        # the same exact counts as the benchmark's 3-agent tracking workload:
+        # 2X = 54 points per match for the plain filter, and 1 + 2 flow and
+        # 1 + 2*9 measurement columns for the structured one
+        cols = self._columns()
+        assert np.all(cols["g_evals_lrkf"] == 108)
+        assert np.all(cols["g_evals_pl"] == 22)
+        single = self._columns({**self.CFG, "sim.filters": "pl-lrkf"})
+        assert np.all(single["g_evals_pl"] == 22)
+
+    def test_matches_solve_of_posterior_covariance(self):
+        cols = self._columns()
+        singer = SingerParams(agents=3)
+        sensor = BearingSensorParams()
+        model = fusion_model(singer, sensor)
+        data = simulate_tracking(singer, sensor, 8, np.random.SeedSequence(entropy=(11,)))
+        for step_fn, tag in ((lrkf_step, "lrkf"), (pl_lrkf_step, "pl")):
+            state = FilterState(k=0, mean=data.init_mean, cov=data.init_cov)
+            for k, y in enumerate(data.measurements):
+                state = step_fn(state, model, y)
+                e = data.truth[k + 1] - state.mean
+                ref = float(e @ np.linalg.solve(state.cov, e))
+                assert abs(cols[f"nees_{tag}"][k] - ref) <= 1e-10 * ref, (tag, k)
+        assert np.abs(cols["nees_lrkf"] - cols["nees_pl"]).max() <= 1e-8 * cols["nees_pl"].max()
+
+
 def _comments(command):
     """The comment lines of a tiny ``bench`` or ``sim`` run."""
     if command == "bench":

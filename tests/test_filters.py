@@ -365,6 +365,32 @@ class TestStructuredEquivalence:
             step_fn(state, model, data.measurements[0])
         assert model.flow.g_eval_count == 0
 
+    @pytest.mark.parametrize("entry", [(12, 4), (4, 12)], ids=["lower", "upper"])
+    def test_tolerated_asymmetry_read_alike(self, entry):
+        # a state covariance asymmetric within the tolerance is accepted; both
+        # filters then step on its lower triangle mirrored, so the structured
+        # flow's A P reads the same matrix the plain flow's factor does
+        singer = SingerParams(agents=3)
+        sensor = BearingSensorParams()
+        model = fusion_model(singer, sensor)
+        data = simulate_tracking(singer, sensor, 6, np.random.SeedSequence(entropy=(5,)))
+        state = FilterState(k=0, mean=data.init_mean, cov=data.init_cov)
+        for y in data.measurements[:5]:
+            state = lrkf_step(state, model, y)
+        cov = state.cov.copy()
+        cov[entry] += 5e-11 * np.abs(cov).max()
+        skewed = FilterState(k=state.k, mean=state.mean, cov=cov)
+        mirrored = FilterState(k=state.k, mean=state.mean, cov=np.tril(cov) + np.tril(cov, -1).T)
+        y = data.measurements[5]
+        posts = {}
+        for step_fn in (lrkf_step, pl_lrkf_step):
+            post = posts[step_fn] = step_fn(skewed, model, y)
+            ref = step_fn(mirrored, model, y)
+            assert np.array_equal(post.mean, ref.mean) and np.array_equal(post.cov, ref.cov)
+        full, pl = posts[lrkf_step], posts[pl_lrkf_step]
+        for a, b in ((full.mean, pl.mean), (full.cov, pl.cov)):
+            assert np.abs(a - b).max() <= 1e-14 * np.abs(a).max()
+
     @pytest.mark.parametrize("step_fn", [lrkf_step, pl_lrkf_step], ids=["lrkf", "pl"])
     def test_non_finite_measurement_rejected(self, step_fn):
         singer = SingerParams(agents=1)

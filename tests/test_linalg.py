@@ -16,6 +16,7 @@ from plfilt import (
     permute_moments,
     spherical_rule,
 )
+from plfilt.linalg import _GATHER_MIN_INNER, _linear_form
 from conftest import random_spd
 
 
@@ -266,3 +267,42 @@ def test_inputs_left_unmodified(rng, order):
     match_pl(plf, m, p, classify(rule, z))
     for a, b in zip(inputs, before):
         assert np.array_equal(a, b)
+
+
+def _one_per_column(rng, inner, n, zero_cols=()):
+    """An ``(inner, n)`` matrix with one random nonzero per column, and
+    none in ``zero_cols``."""
+    a = np.zeros((inner, n))
+    a[rng.integers(0, inner, n), np.arange(n)] = rng.standard_normal(n)
+    a[:, list(zero_cols)] = 0.0
+    return a
+
+
+class TestRightLinearForm:
+    """``_linear_form(a, right=True)`` picks the form of ``M -> M @ a``."""
+
+    CASES = {
+        "one-per-column": (lambda rng: _one_per_column(rng, 60, 90), "_scaled_columns"),
+        "zero-columns": (lambda rng: _one_per_column(rng, 60, 30, (0, 7)), "_scaled_columns"),
+        "at-crossover": (lambda rng: _one_per_column(rng, _GATHER_MIN_INNER, 9), "_scaled_columns"),
+        "below-crossover": (
+            lambda rng: _one_per_column(rng, _GATHER_MIN_INNER - 1, 9), "_matmul_right"
+        ),
+        "full-column": (
+            lambda rng: np.where(np.arange(30) == 5, 1.0, _one_per_column(rng, 60, 30)),
+            "_matmul_right",
+        ),
+        "dense": (lambda rng: rng.standard_normal((60, 20)), "_matmul_right"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("rows", [1, 70])
+    def test_form_equals_dense_product(self, rng, case, rows):
+        build, name = self.CASES[case]
+        a = build(rng)
+        form = _linear_form(a, right=True)
+        assert form.func.__name__ == name
+        m = np.tril(rng.standard_normal((rows, a.shape[0])))  # exact zeros, as a factor has
+        out = form(m)
+        assert np.array_equal(out, m @ a)
+        assert out.flags.c_contiguous
