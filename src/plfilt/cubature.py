@@ -101,13 +101,13 @@ class CubatureRule:
         return abs(float(w.sum()) - 1.0), float(np.abs(second - np.eye(self.dim)).max())
 
     @cached_property
-    def point_form(self) -> Callable[[np.ndarray], np.ndarray]:
+    def _point_form(self) -> Callable[[np.ndarray], np.ndarray]:
         """``L -> L @ points`` for a matrix ``L`` with ``dim`` columns, in
         the cheapest exact form the points admit (see
         :func:`plfilt.linalg._linear_form`), picked on first use.  The
         spherical and unscented points, ``c [0, I, -I]``, hold at most one
-        nonzero per column, so from 45 dimensions up they are a column
-        gather and a scale; Gauss-Hermite grids keep the dense product."""
+        nonzero per column, so they are a column gather and a scale;
+        Gauss-Hermite grids keep the dense product."""
         return _linear_form(self.points, right=True)
 
 
@@ -249,7 +249,7 @@ class ClassifiedRule:
         return self.base is not None
 
     @cached_property
-    def zero_and_unique(self) -> CubatureRule:
+    def _zero_and_unique(self) -> CubatureRule:
         """The one weighted point set the structured path sums over, built
         on first use: column 0 is the zero point, carrying the central and
         linear points' summed weight ``w_cl``, and the other columns are

@@ -210,14 +210,6 @@ def permute_moments(perm: Permutation, m: np.ndarray, p: np.ndarray):
     return m[idx], p[idx][:, idx]
 
 
-# A column gather costs about as much as writing the product, the dense
-# product that times its inner dimension, so the gather pays from some inner
-# dimension up; below it one matmul call has the lower overhead.  Measured
-# with one BLAS thread on a 2-vCPU Xeon VM (best of 7, µs, gather against
-# dense): 3.9/2.9 at 27, 12.1/12.2 at 45, 25/67 at 90 and 231/1447 at 270.
-_GATHER_MIN_INNER = 45
-
-
 def _block_diagonal(blocks: np.ndarray, mat: np.ndarray) -> np.ndarray:
     n, b, _ = blocks.shape
     return (blocks @ mat.reshape(n, b, -1)).reshape(mat.shape)
@@ -243,20 +235,22 @@ def _linear_form(a: np.ndarray, right: bool = False) -> Callable[[np.ndarray], n
     * on the left, when ``a`` is square and, for the smallest ``b`` dividing
       its size that allows it, every nonzero lies in a diagonal ``b x b``
       block, a batched product of those blocks;
-    * on the right, when every column holds at most one nonzero and ``a``
-      has at least :data:`_GATHER_MIN_INNER` rows, a gather of the columns
-      of ``M`` those nonzeros pick, scaled by them in place (a zero column
-      of ``a`` gives a zero column).  For finite ``M`` each entry is the one
-      nonzero product of the dense sum, so the two agree exactly;
+    * on the right, when every column holds at most one nonzero, a gather
+      of the columns of ``M`` those nonzeros pick, scaled by them in place
+      (a zero column of ``a`` gives a zero column).  For finite ``M`` each
+      entry is the one nonzero product of the dense sum, so the two agree
+      exactly;
     * the dense product otherwise.
 
     Both right forms return a new C-ordered array, so a product formed from
     it afterwards runs as it would on the dense product's result.
     """
     if right:
-        if a.shape[0] >= _GATHER_MIN_INNER and (np.count_nonzero(a, axis=0) <= 1).all():
-            idx = np.abs(a).argmax(axis=0)
-            vals = a[idx, np.arange(a.shape[1])]
+        idx = np.abs(a).argmax(axis=0)
+        vals = a[idx, np.arange(a.shape[1])]
+        # each column's largest entry covers all its nonzeros only when it
+        # has at most one
+        if np.count_nonzero(vals) == np.count_nonzero(a):
             return functools.partial(_scaled_columns, idx, vals)
         return functools.partial(_matmul_right, a)
     rows, cols = np.nonzero(a)  # row-major, so one nonzero per row gives rows 0..n-1

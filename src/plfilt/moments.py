@@ -169,7 +169,7 @@ def _plain_sums(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule):
     l = cholesky_full(p)
     if l.shape[0] != rule.dim:
         raise ValueError("covariance dimension does not match rule dimension")
-    dx = rule.point_form(l)
+    dx = rule._point_form(l)
     xpts = m[:, None] + dx
     ypts = np.asarray(f(xpts), dtype=float)
     if ypts.ndim != 2 or ypts.shape[1] != rule.count:
@@ -195,11 +195,10 @@ def match_full(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule) -> JointGaus
     points depend on the coordinate order of ``m`` and ``p``.  In the order
     :func:`match_pl` gets (nonlinear coordinates first) both use the same
     factor and agree up to roundoff.  ``L`` times the points is applied in
-    the form the rule picked for them (:attr:`CubatureRule.point_form`): a
-    column gather and a scale for the spherical and unscented points from
-    45 dimensions up, the dense product otherwise.  As from
-    :func:`match_pl`, the returned ``p_yy`` is exactly symmetric (its lower
-    triangle mirrored).
+    the form the rule picked for them (:attr:`CubatureRule._point_form`): a
+    column gather and a scale for the spherical and unscented points, the
+    dense product otherwise.  As from :func:`match_pl`, the returned
+    ``p_yy`` is exactly symmetric (its lower triangle mirrored).
     """
     m_y, p_yy, dx, dy = _plain_sums(f, m, p, rule)
     p_xy = (dx * rule.weights) @ dy.T
@@ -225,11 +224,11 @@ def match_pl(
     the input z-mean) with their summed weight ``cr.w_cl``, and the other
     columns are the nonlinear points grouped by leading block.  The set
     and its weights are built once per rule
-    (:attr:`ClassifiedRule.zero_and_unique`), and the leading ``z`` columns
-    of the input covariance's Cholesky factor, the only ones needed, map it
-    into state space in the form the set picked
-    (:attr:`CubatureRule.point_form`).  ``g`` is evaluated once per column,
-    ``1 + n`` times in one call.  The closed-form linear sums run on the
+    (:attr:`ClassifiedRule._zero_and_unique`), and the leading ``z``
+    columns of the input covariance's Cholesky factor, the only ones
+    needed, map it into state space in the form the set picked
+    (:attr:`CubatureRule._point_form`).  ``g`` is evaluated once per
+    column, ``1 + n`` times in one call.  The closed-form linear sums run on the
     stacked rows ``[A1; A]``, in the form the function picked for them; the
     ``A1`` block is then folded onto the ``g`` block.  ``P Aᵀ`` is formed
     as ``(A P)ᵀ``, which relies on the input covariance being symmetric.
@@ -247,11 +246,11 @@ def match_pl(
     # the grouped points are read through unique_nonlinear on every call, so
     # a trace of it sees each match; the stacked set is built once per rule
     unique_nonlinear(cr)
-    pts = cr.zero_and_unique
+    pts = cr._zero_and_unique
     w = pts.weights
     # trailing coordinates are zero in every column, so the first z columns
     # of the Cholesky factor map the points into state space
-    l_xi = pts.point_form(cholesky_partial(p, z).column_block())  # (X, 1 + n), column 0 zero
+    l_xi = pts._point_form(cholesky_partial(p, z).column_block())  # (X, 1 + n), column 0 zero
     g_all = plf.eval_g_batch(m[:z, None] + l_xi[:z])
     m_g = g_all @ w
     dg = g_all - m_g[:, None]

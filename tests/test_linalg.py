@@ -16,7 +16,7 @@ from plfilt import (
     permute_moments,
     spherical_rule,
 )
-from plfilt.linalg import _GATHER_MIN_INNER, _linear_form
+from plfilt.linalg import _linear_form
 from conftest import random_spd
 
 
@@ -278,20 +278,26 @@ def _one_per_column(rng, inner, n, zero_cols=()):
     return a
 
 
+def _two_in_column_4(a):
+    """``a`` with exactly two nonzeros in column 4, the smallest excess
+    the right form's check must see."""
+    a[:, 4] = 0.0
+    a[[3, 5], 4] = (1.5, -2.0)
+    return a
+
+
 class TestRightLinearForm:
     """``_linear_form(a, right=True)`` picks the form of ``M -> M @ a``."""
 
     CASES = {
         "one-per-column": (lambda rng: _one_per_column(rng, 60, 90), "_scaled_columns"),
         "zero-columns": (lambda rng: _one_per_column(rng, 60, 30, (0, 7)), "_scaled_columns"),
-        "at-crossover": (lambda rng: _one_per_column(rng, _GATHER_MIN_INNER, 9), "_scaled_columns"),
-        "below-crossover": (
-            lambda rng: _one_per_column(rng, _GATHER_MIN_INNER - 1, 9), "_matmul_right"
-        ),
+        "small": (lambda rng: _one_per_column(rng, 9, 9), "_scaled_columns"),
         "full-column": (
             lambda rng: np.where(np.arange(30) == 5, 1.0, _one_per_column(rng, 60, 30)),
             "_matmul_right",
         ),
+        "two-in-a-column": (lambda rng: _two_in_column_4(_one_per_column(rng, 60, 30)), "_matmul_right"),
         "dense": (lambda rng: rng.standard_normal((60, 20)), "_matmul_right"),
     }
 

@@ -20,7 +20,7 @@ from plfilt import (
     cholesky_partial,
     unscented_rule,
 )
-from plfilt.linalg import _GATHER_MIN_INNER, mirror_lower
+from plfilt.linalg import mirror_lower
 from conftest import random_spd
 
 RULES = {
@@ -274,42 +274,38 @@ class TestLinearForms:
 
 
 def _pl_set(rule, z):
-    return classify(rule, z).zero_and_unique
+    return classify(rule, z)._zero_and_unique
 
 
 class TestPointForms:
     """Each rule picks one exact form for ``L -> L @ points``: a column
-    gather and a scale when every point has at most one nonzero coordinate
-    and the rule's dimension reaches the crossover, the dense product
-    otherwise."""
+    gather and a scale when every point has at most one nonzero coordinate,
+    the dense product otherwise."""
 
-    X = 60  # above the crossover; 27 and 20 are below it
+    X = 60
     CASES = {
-        "sc-27": (lambda: spherical_rule(27), "_matmul_right"),
+        "sc-27": (lambda: spherical_rule(27), "_scaled_columns"),
         "sc-60": (lambda: spherical_rule(60), "_scaled_columns"),
-        "ut-27": (lambda: unscented_rule(27, 1.0, 2.0), "_matmul_right"),
+        "ut-27": (lambda: unscented_rule(27, 1.0, 2.0), "_scaled_columns"),
         "ut-60": (lambda: unscented_rule(60, 0.5, 3.0), "_scaled_columns"),
         "gh3": (lambda: gauss_hermite_rule(3, 3), "_matmul_right"),
         # match_pl's set: a zero column, then the grouped nonlinear points
-        "pl-sc-60-20": (lambda: _pl_set(spherical_rule(60), 20), "_matmul_right"),
+        "pl-sc-60-20": (lambda: _pl_set(spherical_rule(60), 20), "_scaled_columns"),
         "pl-sc-60-50": (lambda: _pl_set(spherical_rule(60), 50), "_scaled_columns"),
         "pl-ut-60-50": (lambda: _pl_set(unscented_rule(60, 1.0, 2.0), 50), "_scaled_columns"),
     }
     FULL = [case for case in CASES if not case.startswith("pl-")]
 
-    def test_crossover_between_cases(self):
-        assert 27 < _GATHER_MIN_INNER <= 50
-
     @pytest.mark.parametrize("case", list(CASES))
     def test_form_equals_dense_product(self, rng, case):
         build, name = self.CASES[case]
         rule = build()
-        assert rule.point_form.func.__name__ == name
-        assert rule.point_form is rule.point_form  # picked once, cached on the rule
+        assert rule._point_form.func.__name__ == name
+        assert rule._point_form is rule._point_form  # picked once, cached on the rule
         # a factor's leading columns, exact zeros above the diagonal included
         x = self.X if case.startswith("pl-") else rule.dim
         l = cholesky_partial(random_spd(rng, x), rule.dim).column_block()
-        out = rule.point_form(l)
+        out = rule._point_form(l)
         assert np.array_equal(out, l @ rule.points)
         assert out.flags.c_contiguous
 
@@ -332,8 +328,8 @@ class TestPointForms:
     @pytest.mark.parametrize("kind", ["sc", "ut_05_3"])
     def test_pl_set_built_once(self, kind):
         cr = classify(make_rule(RULES[kind], 12), 4)
-        pts = cr.zero_and_unique
-        assert pts is cr.zero_and_unique
+        pts = cr._zero_and_unique
+        assert pts is cr._zero_and_unique
         assert not pts.points[:, 0].any() and pts.weights[0] == cr.w_cl
         assert np.array_equal(pts.points[:, 1:], cr.unique.points)
         assert np.array_equal(pts.weights[1:], cr.unique.weights)

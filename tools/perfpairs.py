@@ -13,9 +13,7 @@ Each run's last line of standard output is perfbench's result line.  The
 script prints every pair as it completes, then one line per metric: the
 median and the quartiles of each side and the number of pairs the change
 won, where a metric's better direction is read from the change's
-``BENCHMARK.json`` (lower is better for a metric it does not list).  With
-``--out`` every result line is also appended to a JSON-lines file, tagged
-with its pair and side.
+``BENCHMARK.json`` (lower is better for a metric it does not list).
 """
 from __future__ import annotations
 
@@ -126,7 +124,6 @@ def _parse(argv):
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--out", type=Path, help="append every result line to this file")
     args = parser.parse_args(argv)
     if args.pairs < 1 or not args.seconds > 0:
         parser.error("--pairs must be >= 1 and --seconds positive")
@@ -142,11 +139,7 @@ def main(argv=None) -> int:
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {}
         for side in order:
-            line = run_side(checkouts[side], args.workload, args.seed, args.seconds)
-            if args.out is not None:
-                with args.out.open("a", encoding="utf-8") as fh:
-                    fh.write(json.dumps({"pair": i, "side": side, "result": json.loads(line)}) + "\n")
-            pair[side] = parse_result(line)
+            pair[side] = parse_result(run_side(checkouts[side], args.workload, args.seed, args.seconds))
         pairs.append(pair)
         cells = []
         for name in ("full.op_ms.p50", "pl.op_ms.p50", "setup_s"):
