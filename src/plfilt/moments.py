@@ -211,28 +211,18 @@ def match_full(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule) -> JointGaus
     )
 
 
-def match_pl(
+def _structured_sums(
     plf: PartiallyLinearFunction,
     m: np.ndarray,
     p: np.ndarray,
     cr: ClassifiedRule,
-) -> JointGaussian:
-    """Structured moment matching for ``y = [A1 x + g(z); A x]``.
+):
+    """The structured sums of :func:`match_pl` up to ``p_yy``.
 
-    The sums run on one weighted point set in unit space: column 0 is the
-    zero point, standing for every central and linear point (they all map to
-    the input z-mean) with their summed weight ``cr.w_cl``, and the other
-    columns are the nonlinear points grouped by leading block.  The set
-    and its weights are built once per rule
-    (:attr:`ClassifiedRule._zero_and_unique`), and the leading ``z``
-    columns of the input covariance's Cholesky factor, the only ones
-    needed, map it into state space in the form the set picked
-    (:attr:`CubatureRule._point_form`).  ``g`` is evaluated once per
-    column, ``1 + n`` times in one call.  The closed-form linear sums run on the
-    stacked rows ``[A1; A]``, in the form the function picked for them; the
-    ``A1`` block is then folded onto the ``g`` block.  ``P Aᵀ`` is formed
-    as ``(A P)ᵀ``, which relies on the input covariance being symmetric.
-    The returned ``p_yy`` is exactly symmetric (its lower blocks mirrored).
+    Returns ``(m_y, p_yy, p_xg, p_at)``: the output mean, the exactly
+    symmetric output covariance, the nonlinear block ``(l_xi w) dgᵀ`` of the
+    cross covariance and ``P [A1; A]ᵀ``, from which :func:`match_pl` forms
+    ``p_xy``.  A filter's predict reads only the first two.
     """
     if plf.x_dim != cr.dim:
         raise ValueError(f"function x_dim {plf.x_dim} does not match rule dimension {cr.dim}")
@@ -256,32 +246,75 @@ def match_pl(
     dg = g_all - m_g[:, None]
     dg_w = dg * w
     p_gg = dg_w @ dg.T
+    p_xg = l_xi @ dg_w.T  # the nonlinear block of p_xy, (X, G)
 
     apply = plf._apply
     n1 = plf._n1  # rows of A1, folded onto the g block
     g_dim = plf.g_dim
-    m_y = np.empty(plf.y_dim)
-    p_xy = np.empty((cr.dim, plf.y_dim))
-    p_yy = np.empty((plf.y_dim, plf.y_dim))
-    p_xy[:, :g_dim] = l_xi @ dg_w.T  # the nonlinear block, (X, G)
     p = np.asarray(p, dtype=float)
     a_m = apply(m)
     p_at = apply(p).T
-    a_pxy = apply(p_xy[:, :g_dim])
+    a_pxy = apply(p_xg)
     a_pat = apply(p_at)
 
+    m_y = np.empty(plf.y_dim)
     m_y[:g_dim] = m_g
     m_y[g_dim:] = a_m[n1:]
-    p_xy[:, g_dim:] = p_at[:, n1:]
-    p_yy[:g_dim, :g_dim] = p_gg
-    p_yy[g_dim:, :g_dim] = a_pxy[n1:]
-    p_yy[g_dim:, g_dim:] = a_pat[n1:, n1:]
     if n1:
+        # a_pat is the whole (Y, Y) [A1; A] P [A1; A]ᵀ: the A1 terms are
+        # folded onto it in place, each block summed in the same order
         m_y[:g_dim] += a_m[:n1]
-        p_xy[:, :g_dim] += p_at[:, :n1]
-        p_yy[:g_dim, :g_dim] += a_pxy[:n1].T
-        p_yy[:g_dim, :g_dim] += a_pxy[:n1]
-        p_yy[:g_dim, :g_dim] += a_pat[:n1, :n1]
-        p_yy[g_dim:, :g_dim] += a_pat[n1:, :n1]
+        p_gg += a_pxy[:n1].T
+        p_gg += a_pxy[:n1]
+        a_pat[:g_dim, :g_dim] += p_gg
+        a_pat[g_dim:, :g_dim] += a_pxy[n1:]
+        p_yy = a_pat
+    else:
+        p_yy = np.empty((plf.y_dim, plf.y_dim))
+        p_yy[:g_dim, :g_dim] = p_gg
+        p_yy[g_dim:, :g_dim] = a_pxy
+        p_yy[g_dim:, g_dim:] = a_pat
     p_yy = mirror_lower(p_yy)  # fills the upper blocks and pins symmetry
-    return JointGaussian(m_x=m, m_y=m_y, p_xx=p, p_xy=p_xy, p_yy=p_yy)
+    return m_y, p_yy, p_xg, p_at
+
+
+def match_pl(
+    plf: PartiallyLinearFunction,
+    m: np.ndarray,
+    p: np.ndarray,
+    cr: ClassifiedRule,
+) -> JointGaussian:
+    """Structured moment matching for ``y = [A1 x + g(z); A x]``.
+
+    The sums run on one weighted point set in unit space: column 0 is the
+    zero point, standing for every central and linear point (they all map to
+    the input z-mean) with their summed weight ``cr.w_cl``, and the other
+    columns are the nonlinear points grouped by leading block.  The set
+    and its weights are built once per rule
+    (:attr:`ClassifiedRule._zero_and_unique`), and the leading ``z``
+    columns of the input covariance's Cholesky factor, the only ones
+    needed, map it into state space in the form the set picked
+    (:attr:`CubatureRule._point_form`).  ``g`` is evaluated once per
+    column, ``1 + n`` times in one call.  The closed-form linear sums run on the
+    stacked rows ``[A1; A]``, in the form the function picked for them; the
+    ``A1`` block is then folded onto the ``g`` block.  ``P Aᵀ`` is formed
+    as ``(A P)ᵀ``, which relies on the input covariance being symmetric.
+    The returned ``p_yy`` is exactly symmetric (its lower blocks mirrored).
+    The sums up to ``p_yy`` are :func:`_structured_sums`, which a filter's
+    predict calls alone; this adds the cross covariance ``p_xy``.
+    """
+    m_y, p_yy, p_xg, p_at = _structured_sums(plf, m, p, cr)
+    n1 = plf._n1
+    g_dim = plf.g_dim
+    p_xy = np.empty((cr.dim, plf.y_dim))
+    p_xy[:, :g_dim] = p_xg
+    p_xy[:, g_dim:] = p_at[:, n1:]
+    if n1:
+        p_xy[:, :g_dim] += p_at[:, :n1]
+    return JointGaussian(
+        m_x=np.asarray(m, dtype=float),
+        m_y=m_y,
+        p_xx=np.asarray(p, dtype=float),
+        p_xy=p_xy,
+        p_yy=p_yy,
+    )

@@ -14,15 +14,20 @@ from plfilt import (
     Permutation,
     SingerParams,
     SingularGeometryError,
+    benchmark_function,
     classify,
     fusion_model,
     kalman_update,
     lrkf_step,
+    match_pl,
     pl_lrkf_step,
     simulate_tracking,
     spherical_rule,
     unscented_rule,
 )
+from plfilt.filters import _predict_structured
+from plfilt.linalg import mirror_lower
+from plfilt.moments import _structured_sums
 from conftest import random_spd
 
 
@@ -128,11 +133,20 @@ class TestKalmanUpdate:
 
     @pytest.mark.parametrize(
         "x, y, order",
-        [(3, 2, None), (27, 33, None), (40, 10, None)]
-        + [(x, y, order) for x, y in ((27, 33), (40, 10)) for order in "CF"],
-        ids=["3-2", "27-33", "40-10", "27-33-C", "27-33-F", "40-10-C", "40-10-F"],
+        [(3, 2, None), (27, 33, None), (40, 10, None), (27, 130, None), (40, 200, None)]
+        + [
+            (x, y, order)
+            for x, y in ((27, 33), (40, 10), (27, 130), (40, 200))
+            for order in "CF"
+        ],
+        ids=[
+            "3-2", "27-33", "40-10", "27-130", "40-200",
+            "27-33-C", "27-33-F", "40-10-C", "40-10-F",
+            "27-130-C", "27-130-F", "40-200-C", "40-200-F",
+        ],
     )
     def test_matches_textbook_gain(self, rng, x, y, order):
+        # y = 130 and 200 span several panels of the solve, the last ragged
         # a valid joint covariance, so the posterior is a proper Schur complement
         joint_cov = random_spd(rng, x + y)
         p, p_xy, p_yy = joint_cov[:x, :x], joint_cov[:x, x:], joint_cov[x:, x:]
@@ -262,6 +276,62 @@ class TestStructuredEquivalence:
             assert out.prediction.m_y.shape == (y_dim,)
             assert out.prediction.p_xy.shape == (x_dim, y_dim)
         assert np.abs(plain.prediction.p_xy - struct.prediction.p_xy).max() <= 1e-9
+
+    @pytest.mark.parametrize("case", ["fusion-flow", "dense-a1", "benchmark"])
+    def test_structured_predict_is_match_pl_up_to_p_yy(self, rng, case):
+        if case == "fusion-flow":  # A1 with one g row
+            singer = SingerParams(agents=2)
+            model = fusion_model(singer, BearingSensorParams())
+            f, cr = model.flow, model.flow_rule
+            assert f.a1 is not None
+        else:
+            f = benchmark_function(3, 7, 11)
+            cr = classify(spherical_rule(10), 3)
+            if case == "dense-a1":  # A1 with three g rows
+                a1 = rng.standard_normal((3, 10))
+                f = PartiallyLinearFunction(3, 10, f._g, 3, f.a, a1=a1)
+        m, p = rng.standard_normal(cr.dim), random_spd(rng, cr.dim)
+        m_y, p_yy = _predict_structured(f, m, p, cr)
+        joint = match_pl(f, m, p, cr)
+        assert np.array_equal(m_y, joint.m_y) and np.array_equal(p_yy, joint.p_yy)
+
+        # p_yy bit for bit as built block by block, the A1 terms added onto
+        # p_gg in turn; the lower triangle of p_gg is that of the same
+        # function's p_yy without A1, and mirror_lower reads only that
+        _, _, p_xg, p_at = _structured_sums(f, m, p, cr)
+        a_pxy, a_pat = f._apply(p_xg), f._apply(p_at)
+        g, n1 = f.g_dim, f._n1
+        twin = PartiallyLinearFunction(f.z_dim, f.x_dim, f._g, g, f.a)
+        p_gg = _structured_sums(twin, m, p, cr)[1][:g, :g]
+        ref = np.empty_like(p_yy)
+        ref[:g, :g] = p_gg
+        ref[g:, :g] = a_pxy[n1:]
+        ref[g:, g:] = a_pat[n1:, n1:]
+        if n1:
+            ref[:g, :g] = p_gg + a_pxy[:n1].T + a_pxy[:n1] + a_pat[:n1, :n1]
+            ref[g:, :g] = a_pxy[n1:] + a_pat[n1:, :n1]
+        assert np.array_equal(p_yy, mirror_lower(ref))
+
+    @pytest.mark.parametrize("step_fn", [lrkf_step, pl_lrkf_step], ids=["lrkf", "pl"])
+    def test_step_leaves_its_inputs_unmodified(self, step_fn):
+        # the step adds the noise in place onto the matched covariances,
+        # never onto an array the caller passed in
+        singer = SingerParams(agents=2)
+        sensor = BearingSensorParams()
+        model = fusion_model(singer, sensor)
+        data = simulate_tracking(singer, sensor, 2, np.random.SeedSequence(entropy=(8,)))
+        state = FilterState(k=0, mean=data.init_mean, cov=data.init_cov)
+        state = step_fn(state, model, data.measurements[0], keep_prediction=True)
+        blocks = ("m_x", "m_y", "p_xx", "p_xy", "p_yy")
+        before = (
+            model.q.copy(), model.r.copy(), state.cov.copy(),
+            [getattr(state.prediction, b).copy() for b in blocks],
+        )
+        step_fn(state, model, data.measurements[1], keep_prediction=True)
+        assert np.array_equal(model.q, before[0]) and np.array_equal(model.r, before[1])
+        assert np.array_equal(state.cov, before[2])
+        for block, copy in zip(blocks, before[3]):
+            assert np.array_equal(getattr(state.prediction, block), copy), block
 
     @pytest.mark.parametrize("step_fn", [lrkf_step, pl_lrkf_step], ids=["lrkf", "pl"])
     def test_prediction_is_the_conditioned_joint(self, step_fn):

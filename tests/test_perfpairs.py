@@ -81,18 +81,80 @@ def test_unmeasured_metric_left_out():
 
 
 def test_format_row():
-    (row,) = perfpairs.summarize(_pairs([2.0, 4.0], [1.0, 3.0]), {})
+    (row,) = perfpairs.summarize(_pairs([2.0, 4.0], [0.5, 2.5]), {})
     assert perfpairs.format_row(row) == (
-        f"{'full.op_ms.p50':40s} 3 [2.5-3.5] -> 2 [1.5-2.5]  won 2/2 (lower is better)"
+        f"{'full.op_ms.p50':40s} 3 [2.5-3.5] -> 1.5 [1-2]  won 2/2 "
+        "(lower is better); claim holds"
     )
+    (row,) = perfpairs.summarize(
+        _pairs([2.0, 4.0], [2.5, 4.5]), {}, {"full.op_ms.p50": 0.2}
+    )
+    assert perfpairs.format_row(row).endswith(
+        "won 0/2 (lower is better); claim not met; within bound 0.2"
+    )
+    (row,) = perfpairs.summarize(
+        _pairs([2.0, 4.0], [3.0, 5.0]), {}, {"full.op_ms.p50": 0.2}
+    )
+    assert perfpairs.format_row(row).endswith("claim not met; worse than bound 0.2")
+
+
+BASE = [8.0, 7.9, 8.1, 7.8, 8.2, 8.0, 7.9, 8.1, 8.0, 8.0]  # quartiles 7.925-8.075
+
+
+@pytest.mark.parametrize(
+    "change, claim",
+    [
+        ([6.8] * 10, True),
+        ([6.8] * 9 + [8.5], True),  # 9 of 10 won
+        ([6.8] * 8 + [8.5, 8.5], False),  # 8 of 10 won
+        ([6.8] * 8 + [8.0, 8.0], False),  # two ties, which count for neither side
+        # every pair won, but the median is 0.1 below, inside the base's IQR of 0.15
+        ([7.9, 7.8, 8.0, 7.7, 8.1, 7.8, 7.8, 8.0, 7.9, 7.9], False),
+    ],
+)
+def test_claim_rule(change, claim):
+    (row,) = perfpairs.summarize(_pairs(BASE, change), {"full.op_ms.p50": "lower"})
+    assert row["claim"] is claim
+
+
+def test_claim_rule_higher_is_better():
+    base = [100.0 + i for i in range(10)]  # IQR 4.5
+    pairs = _pairs(base, [b + 5.0 for b in base], "full__ops_per_s")
+    (row,) = perfpairs.summarize(pairs, {"full.ops_per_s": "higher"})
+    assert row["wins"] == 10 and row["claim"]
+    lesser = _pairs(base, [b + 4.0 for b in base], "full__ops_per_s")
+    (row,) = perfpairs.summarize(lesser, {"full.ops_per_s": "higher"})
+    assert row["wins"] == 10 and not row["claim"]
+    (row,) = perfpairs.summarize(pairs, {})  # read as lower is better
+    assert row["wins"] == 0 and not row["claim"]
+
+
+@pytest.mark.parametrize(
+    "name, better, change, regressed",
+    [
+        ("full__op_ms__p50", "lower", 9.5, False),  # 19% worse, bound 0.2
+        ("full__op_ms__p50", "lower", 10.5, True),  # 31% worse
+        ("full__op_ms__p50", "lower", 6.0, False),  # better
+        ("full__ops_per_s", "higher", 6.0, True),  # 25% fewer, bound 0.2
+        ("full__ops_per_s", "higher", 7.0, False),
+    ],
+)
+def test_bound_check(name, better, change, regressed):
+    metric = name.replace("__", ".")
+    pairs = _pairs([8.0, 8.0, 8.0], [change] * 3, name)
+    (row,) = perfpairs.summarize(pairs, {metric: better}, {metric: 0.2})
+    assert row["bound"] == 0.2 and row["regressed"] is regressed
+    (row,) = perfpairs.summarize(pairs, {metric: better})
+    assert row["bound"] is None and row["regressed"] is None
 
 
 def test_better_directions_read_from_benchmark_file(tmp_path):
     assert perfpairs.better_directions(tmp_path) == {}
+    assert perfpairs.regression_bounds(tmp_path) == {}
     (tmp_path / "BENCHMARK.json").write_text(
         json.dumps(
             {
-                "end_to_end": [{"name": "full.ops_per_s", "better": "higher"}],
+                "end_to_end": [{"name": "full.ops_per_s", "better": "higher", "bound": 0.25}],
                 "per_layer": [{"name": "pl.models.g_ms", "better": "lower"}],
             }
         )
@@ -101,3 +163,4 @@ def test_better_directions_read_from_benchmark_file(tmp_path):
         "full.ops_per_s": "higher",
         "pl.models.g_ms": "lower",
     }
+    assert perfpairs.regression_bounds(tmp_path) == {"full.ops_per_s": 0.25}

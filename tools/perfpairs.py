@@ -11,9 +11,15 @@ run's settings are those ``run.py`` pins itself; this script sets nothing.
 
 Each run's last line of standard output is perfbench's result line.  The
 script prints every pair as it completes, then one line per metric: the
-median and the quartiles of each side and the number of pairs the change
-won, where a metric's better direction is read from the change's
-``BENCHMARK.json`` (lower is better for a metric it does not list).
+median and the quartiles of each side, the number of pairs the change
+won, whether a gain may be claimed, and, for a metric with a regression
+bound, whether the change's median is worse than the base's by more than
+that bound.  A metric's better direction and bound are read from the
+change's ``BENCHMARK.json`` (lower is better for a metric it does not
+list).  A gain may be claimed when the change wins at least nine tenths of
+the pairs, ties counting for neither, and its median is better than the
+base's by more than the distance between the base's quartiles.  A bound is
+a share of the base's median.
 """
 from __future__ import annotations
 
@@ -46,14 +52,20 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> list[dict]:
+def summarize(
+    pairs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None
+) -> list[dict]:
     """One row per metric measured on both sides of every pair.
 
     ``pairs`` holds ``{"base": result, "change": result}`` with results as
     :func:`parse_result` returns them; ``better`` maps a metric to
-    ``"lower"`` or ``"higher"``.  A pair is won when the change's value is
-    strictly better than the base's.
+    ``"lower"`` or ``"higher"`` and ``bounds`` to its regression bound.  A
+    pair is won when the change's value is strictly better than the base's.
+    ``claim`` tells whether a gain may be claimed; ``regressed`` whether the
+    change's median is worse than the base's by more than the bound, and is
+    ``None`` for a metric without one.
     """
+    bounds = bounds or {}
     rows = []
     names = pairs[0]["base"]["metrics"] if pairs else {}
     for name in names:
@@ -66,14 +78,21 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> list[dict]:
         wins = sum(
             sign * c < sign * b for b, c in zip(values["base"], values["change"])
         )
+        b1, b2, b3 = base = quartiles(values["base"])
+        change = quartiles(values["change"])
+        gain = sign * (b2 - change[1])  # positive when the change's median is better
+        bound = bounds.get(name)
         rows.append(
             {
                 "metric": name,
                 "better": better.get(name, "lower"),
-                "base": quartiles(values["base"]),
-                "change": quartiles(values["change"]),
+                "base": base,
+                "change": change,
                 "wins": wins,
                 "pairs": len(pairs),
+                "claim": 10 * wins >= 9 * len(pairs) and gain > b3 - b1,
+                "bound": bound,
+                "regressed": None if bound is None else -gain > bound * abs(b2),
             }
         )
     return rows
@@ -82,21 +101,38 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> list[dict]:
 def format_row(row: dict) -> str:
     b1, b2, b3 = row["base"]
     c1, c2, c3 = row["change"]
-    return (
+    line = (
         f"{row['metric']:40s} {b2:.6g} [{b1:.6g}-{b3:.6g}] -> "
         f"{c2:.6g} [{c1:.6g}-{c3:.6g}]  won {row['wins']}/{row['pairs']} "
-        f"({row['better']} is better)"
+        f"({row['better']} is better); claim {'holds' if row['claim'] else 'not met'}"
     )
+    if row["bound"] is not None:
+        verdict = "worse than" if row["regressed"] else "within"
+        line += f"; {verdict} bound {row['bound']:g}"
+    return line
+
+
+def _metric_entries(checkout: Path) -> list[dict]:
+    path = checkout / "BENCHMARK.json"
+    if not path.is_file():
+        return []
+    spec = json.loads(path.read_text(encoding="utf-8"))
+    return spec.get("end_to_end", []) + spec.get("per_layer", [])
 
 
 def better_directions(checkout: Path) -> dict[str, str]:
     """Metric -> better direction, from a checkout's ``BENCHMARK.json``."""
-    path = checkout / "BENCHMARK.json"
-    if not path.is_file():
-        return {}
-    spec = json.loads(path.read_text(encoding="utf-8"))
-    entries = spec.get("end_to_end", []) + spec.get("per_layer", [])
-    return {entry["name"]: entry.get("better", "lower") for entry in entries}
+    return {entry["name"]: entry.get("better", "lower") for entry in _metric_entries(checkout)}
+
+
+def regression_bounds(checkout: Path) -> dict[str, float]:
+    """Metric -> regression bound, for the metrics of a checkout's
+    ``BENCHMARK.json`` that have one."""
+    return {
+        entry["name"]: float(entry["bound"])
+        for entry in _metric_entries(checkout)
+        if "bound" in entry
+    }
 
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> str:
@@ -134,6 +170,7 @@ def main(argv=None) -> int:
     args = _parse(argv)
     checkouts = {"base": args.base.resolve(), "change": args.change.resolve()}
     better = better_directions(checkouts["change"])
+    bounds = regression_bounds(checkouts["change"])
     pairs = []
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -151,7 +188,7 @@ def main(argv=None) -> int:
         print(f"pair {i + 1} ({order[0]} first): {'; '.join(cells)}; {failed}", flush=True)
     print(f"{args.workload}, {args.pairs} pairs of {args.seconds:g} s, seed {args.seed}: "
           "median [quartiles] base -> change")
-    for row in summarize(pairs, better):
+    for row in summarize(pairs, better, bounds):
         print(format_row(row))
     return 0
 
