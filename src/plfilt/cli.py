@@ -10,6 +10,7 @@ numpy's PCG64 generator, which pins the drawn numbers across platforms.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import platform
 import sys
@@ -220,24 +221,21 @@ def sim_config_from(cfg: dict) -> SimConfig:
 # ---------------------------------------------------------------------------
 
 
-def _csv_quote(cell: str) -> str:
-    if any(c in cell for c in (",", '"', "\n")):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
-
-
 def write_csv(stream, comments, header, rows):
     """RFC-4180-style CSV with '#' comment lines first and LF endings."""
     for line in comments:
         stream.write(f"# {line}\n")
-    stream.write(",".join(_csv_quote(c) for c in header) + "\n")
-    for row in rows:
-        stream.write(",".join(_csv_quote(str(c)) for c in row) + "\n")
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
 # bench subcommand
 # ---------------------------------------------------------------------------
+
+MODES = ("full", "pl")  # full = plain matcher and filter, pl = structured
+_MOMENTS = ("m_y", "p_xy", "p_yy")
 
 BENCH_HEADER = [
     "rule", "z", "l", "x", "trials",
@@ -258,74 +256,55 @@ def _trial_inputs(seed: int, row: int, trial: int, x: int):
 def _bench_row(cfg: BenchConfig, row: int, z: int, l: int):
     x = z + l
     plf = benchmark_function(z, l, np.random.SeedSequence(entropy=(cfg.seed, row)))
-    run_full = "full" in cfg.modes
-    run_pl = "pl" in cfg.modes
-    status = "ok" if run_full and run_pl else ("full-only" if run_full else "pl-only")
+    status = "ok" if len(cfg.modes) == 2 else f"{''.join(cfg.modes)}-only"
 
-    full_rule = None
-    if run_full:
+    runs = {}  # mode -> (matcher, rule), full before pl
+    if "full" in cfg.modes:
         try:
-            full_rule = make_rule(cfg.kind, x, cfg.point_budget)
+            runs["full"] = (match_full, make_rule(cfg.kind, x, cfg.point_budget))
         except PointBudgetExceededError:
             status = "full-budget-exceeded"
-    cls_rule = make_classified(cfg.kind, x, z, cfg.point_budget) if run_pl else None
+    if "pl" in cfg.modes:
+        runs["pl"] = (match_pl, make_classified(cfg.kind, x, z, cfg.point_budget))
 
     m_w, p_w = _trial_inputs(cfg.seed, row, cfg.trials, x)  # warm-up inputs
-    evals_full = evals_pl = None
-    if full_rule is not None:
+    evals = {}
+    for mode, (match, rule) in runs.items():
         plf.reset_g_eval_count()
-        match_full(plf, m_w, p_w, full_rule)
-        evals_full = plf.g_eval_count
-    if cls_rule is not None:
-        plf.reset_g_eval_count()
-        match_pl(plf, m_w, p_w, cls_rule)
-        evals_pl = plf.g_eval_count
+        match(plf, m_w, p_w, rule)
+        evals[mode] = plf.g_eval_count
 
-    t_full = t_pl = 0.0
-    n_full = n_pl = 0
-    d_my = d_pxy = d_pyy = 0.0
+    elapsed = dict.fromkeys(runs, 0.0)
+    calls = dict.fromkeys(runs, 0)
+
+    def timed(mode, m, p):
+        match, rule = runs[mode]
+        t0 = time.perf_counter()
+        out = match(plf, m, p, rule)
+        elapsed[mode] += time.perf_counter() - t0
+        calls[mode] += 1
+        return out
+
+    gaps = dict.fromkeys(_MOMENTS, 0.0)
     for trial in range(cfg.trials):
         m, p = _trial_inputs(cfg.seed, row, trial, x)
-        jf = jp = None
-        if full_rule is not None:
-            t0 = time.perf_counter()
-            jf = match_full(plf, m, p, full_rule)
-            t_full += time.perf_counter() - t0
-            n_full += 1
-        if cls_rule is not None:
-            t0 = time.perf_counter()
-            jp = match_pl(plf, m, p, cls_rule)
-            t_pl += time.perf_counter() - t0
-            n_pl += 1
-        if jf is not None and jp is not None:
-            d_my += float(np.linalg.norm(jf.m_y - jp.m_y))
-            d_pxy += float(np.linalg.norm(jf.p_xy - jp.p_xy))
-            d_pyy += float(np.linalg.norm(jf.p_yy - jp.p_yy))
+        out = {mode: timed(mode, m, p) for mode in runs}
+        if len(out) == 2:
+            for name in _MOMENTS:
+                gap = getattr(out["full"], name) - getattr(out["pl"], name)
+                gaps[name] += float(np.linalg.norm(gap))
     # top up short timings with extra repetitions on the warm-up inputs
-    while full_rule is not None and t_full < _TIMING_FLOOR_S:
-        t0 = time.perf_counter()
-        match_full(plf, m_w, p_w, full_rule)
-        t_full += time.perf_counter() - t0
-        n_full += 1
-    while cls_rule is not None and t_pl < _TIMING_FLOOR_S:
-        t0 = time.perf_counter()
-        match_pl(plf, m_w, p_w, cls_rule)
-        t_pl += time.perf_counter() - t0
-        n_pl += 1
+    for mode in runs:
+        while elapsed[mode] < _TIMING_FLOOR_S:
+            timed(mode, m_w, p_w)
 
-    both = full_rule is not None and cls_rule is not None
-    mean_full = t_full / n_full if n_full else None
-    mean_pl = t_pl / n_pl if n_pl else None
+    mean = {mode: elapsed[mode] / calls[mode] for mode in runs}
     return [
         cfg.kind.label(), z, l, x, cfg.trials,
-        "" if evals_full is None else evals_full,
-        "" if evals_pl is None else evals_pl,
-        _fmt(d_my / cfg.trials) if both else "",
-        _fmt(d_pxy / cfg.trials) if both else "",
-        _fmt(d_pyy / cfg.trials) if both else "",
-        "" if mean_full is None else f"{mean_full:.6e}",
-        "" if mean_pl is None else f"{mean_pl:.6e}",
-        f"{mean_full / mean_pl:.6e}" if (mean_full and mean_pl) else "",
+        *(evals.get(mode, "") for mode in MODES),
+        *(_fmt(gaps[name] / cfg.trials) if len(runs) == 2 else "" for name in _MOMENTS),
+        *(f"{mean[mode]:.6e}" if mode in mean else "" for mode in MODES),
+        f"{mean['full'] / mean['pl']:.6e}" if len(runs) == 2 else "",
         status,
     ]
 
@@ -373,7 +352,7 @@ def run_sim(cfg: SimConfig):
     blocks = _block_indices(cfg.singer.agents)
     labels = {"full": "lrkf", "pl": "pl"}
     runners = {"full": lrkf_step, "pl": pl_lrkf_step}
-    active = [m for m in ("full", "pl") if m in cfg.filters]
+    active = [m for m in MODES if m in cfg.filters]
 
     header = ["k"]
     for mode in active:
@@ -432,6 +411,7 @@ def _add_common(parser):
 
 
 def _build_parser():
+    """Each setting's ``dest`` is its key in :data:`DEFAULTS`."""
     parser = argparse.ArgumentParser(
         prog="plfilt", description="moment-matching and tracking experiment harness"
     )
@@ -439,75 +419,56 @@ def _build_parser():
 
     bench = sub.add_parser("bench", help="compare full vs structured moment matching")
     _add_common(bench)
-    bench.add_argument("--rule", choices=("sc", "ut", "gh"))
-    bench.add_argument("--ut-alpha", type=float)
-    bench.add_argument("--ut-kappa", type=float)
-    bench.add_argument("--gh-order", type=int)
+    bench.add_argument("--rule", dest="bench.rule", choices=("sc", "ut", "gh"))
+    bench.add_argument("--ut-alpha", dest="bench.ut_alpha", type=float)
+    bench.add_argument("--ut-kappa", dest="bench.ut_kappa", type=float)
+    bench.add_argument("--gh-order", dest="bench.gh_order", type=int)
     bench.add_argument(
-        "--dims", action="append", metavar="ZxL", help="nonlinear x linear sizes, repeatable"
+        "--dims", dest="bench.dims", action="append", metavar="ZxL",
+        help="nonlinear x linear sizes, repeatable",
     )
-    bench.add_argument("--trials", type=int)
-    bench.add_argument("--modes", choices=("full", "pl", "both"))
-    bench.add_argument("--point-budget", type=int)
+    bench.add_argument("--trials", dest="bench.trials", type=int)
+    bench.add_argument("--modes", dest="bench.modes", choices=("full", "pl", "both"))
+    bench.add_argument("--point-budget", dest="bench.point_budget", type=int)
 
     sim = sub.add_parser("sim", help="run the tracking comparison")
     _add_common(sim)
-    sim.add_argument("--agents", type=int)
-    sim.add_argument("--steps", type=int)
-    sim.add_argument("--modes", choices=("full", "pl", "both", "lrkf", "pl-lrkf"))
+    sim.add_argument("--agents", dest="sim.agents", type=int)
+    sim.add_argument("--steps", dest="sim.steps", type=int)
+    sim.add_argument(
+        "--modes", dest="sim.filters", choices=("full", "pl", "both", "lrkf", "pl-lrkf")
+    )
     return parser
 
 
-def _emit(out_path, write_fn):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            write_fn(fh)
-    else:
-        write_fn(sys.stdout)
+# command -> (settings from the merged config, runner, what a row counts)
+_COMMANDS = {
+    "bench": (bench_config_from, run_bench, "rows"),
+    "sim": (sim_config_from, run_sim, "steps"),
+}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "bench":
-        overrides = {
-            "seed": None if args.seed is None else str(args.seed),
-            "bench.rule": args.rule,
-            "bench.ut_alpha": None if args.ut_alpha is None else str(args.ut_alpha),
-            "bench.ut_kappa": None if args.ut_kappa is None else str(args.ut_kappa),
-            "bench.gh_order": None if args.gh_order is None else str(args.gh_order),
-            "bench.dims": ",".join(args.dims) if args.dims else None,
-            "bench.trials": None if args.trials is None else str(args.trials),
-            "bench.modes": args.modes,
-            "bench.point_budget": None if args.point_budget is None else str(args.point_budget),
-        }
-        cfg = merged_config(args.config, overrides)
-        bench_cfg = bench_config_from(cfg)
-        started = time.perf_counter()
-        comments, header, rows = run_bench(bench_cfg)
-        _emit(args.out, lambda fh: write_csv(fh, comments, header, rows))
-        print(
-            f"bench: {len(rows)} rows in {time.perf_counter() - started:.2f} s",
-            file=sys.stderr,
-        )
-        return 0
-    if args.command == "sim":
-        overrides = {
-            "seed": None if args.seed is None else str(args.seed),
-            "sim.agents": None if args.agents is None else str(args.agents),
-            "sim.steps": None if args.steps is None else str(args.steps),
-            "sim.filters": args.modes,
-        }
-        cfg = merged_config(args.config, overrides)
-        sim_cfg = sim_config_from(cfg)
-        started = time.perf_counter()
-        comments, header, rows = run_sim(sim_cfg)
-        _emit(args.out, lambda fh: write_csv(fh, comments, header, rows))
-        print(
-            f"sim: {len(rows)} steps in {time.perf_counter() - started:.2f} s",
-            file=sys.stderr,
-        )
-        return 0
-    raise AssertionError(f"unhandled command {args.command}")
+    config_from, run, unit = _COMMANDS[args.command]
+    overrides = {  # config values are text; the repeated --dims join to "ZxL,ZxL"
+        key: ",".join(value) if isinstance(value, list) else str(value)
+        for key, value in vars(args).items()
+        if key in DEFAULTS and value is not None
+    }
+    settings = config_from(merged_config(args.config, overrides))
+    started = time.perf_counter()
+    comments, header, rows = run(settings)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            write_csv(fh, comments, header, rows)
+    else:
+        write_csv(sys.stdout, comments, header, rows)
+    print(
+        f"{args.command}: {len(rows)} {unit} in {time.perf_counter() - started:.2f} s",
+        file=sys.stderr,
+    )
+    return 0
 
 
 if __name__ == "__main__":

@@ -244,10 +244,6 @@ class ClassifiedRule:
     unique: CubatureRule
     base: CubatureRule | None = None
 
-    @property
-    def materialized(self) -> bool:
-        return self.base is not None
-
     @cached_property
     def _zero_and_unique(self) -> CubatureRule:
         """The one weighted point set the structured path sums over, built

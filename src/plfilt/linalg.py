@@ -182,10 +182,6 @@ class Permutation:
         idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(np.arange(n, dtype=np.intp))
-
     @property
     def size(self) -> int:
         return self.indices.size

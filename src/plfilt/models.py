@@ -325,6 +325,12 @@ def benchmark_function(z: int, l: int, seed) -> PartiallyLinearFunction:
 # Ground-truth simulation for the tracking experiment.
 # ---------------------------------------------------------------------------
 
+# the agents' initial states in simulate_tracking
+CUBE_HALF = 50.0
+EXCLUSION_RADIUS = 5.0
+INIT_VEL_STD = 1.0
+INIT_ACC_STD = 0.5
+
 
 @dataclass(frozen=True)
 class TrackingData:
@@ -341,17 +347,14 @@ def simulate_tracking(
     sensor: BearingSensorParams,
     steps: int,
     seed,
-    cube_half: float = 50.0,
-    exclusion_radius: float = 5.0,
-    init_vel_std: float = 1.0,
-    init_acc_std: float = 0.5,
 ) -> TrackingData:
     """Simulate agents on Singer dynamics and the fused measurement stream.
 
     Initial positions are uniform in the origin-centered cube of half-width
-    ``cube_half`` with a ball of ``exclusion_radius`` around the base station
-    rejected; initial velocities and accelerations are zero-mean normal with
-    the given standard deviations.  The filter is initialized the way the
+    :data:`CUBE_HALF` with a ball of :data:`EXCLUSION_RADIUS` around the base
+    station rejected; initial velocities and accelerations are zero-mean
+    normal with standard deviations :data:`INIT_VEL_STD` and
+    :data:`INIT_ACC_STD`.  The filter is initialized the way the
     base station would: from a first round of transmitted agent estimates, so
     the initial covariance is the block-diagonal of the reported covariances
     and the initial mean is the truth perturbed accordingly (a consistent
@@ -368,12 +371,12 @@ def simulate_tracking(
     x0 = np.zeros(x_dim)
     for i in range(n):
         while True:
-            pos = rng.uniform(-cube_half, cube_half, size=3)
-            if np.linalg.norm(pos) >= exclusion_radius:
+            pos = rng.uniform(-CUBE_HALF, CUBE_HALF, size=3)
+            if np.linalg.norm(pos) >= EXCLUSION_RADIUS:
                 break
         x0[9 * i : 9 * i + 3] = pos
-        x0[9 * i + 3 : 9 * i + 6] = init_vel_std * rng.standard_normal(3)
-        x0[9 * i + 6 : 9 * i + 9] = init_acc_std * rng.standard_normal(3)
+        x0[9 * i + 3 : 9 * i + 6] = INIT_VEL_STD * rng.standard_normal(3)
+        x0[9 * i + 6 : 9 * i + 9] = INIT_ACC_STD * rng.standard_normal(3)
 
     truth = np.empty((steps + 1, x_dim))
     truth[0] = x0

@@ -42,10 +42,6 @@ class GaussianMoments:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
 
 @dataclass(frozen=True)
 class JointGaussian:

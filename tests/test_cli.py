@@ -20,6 +20,7 @@ from plfilt import (
 )
 from plfilt.cli import (
     DEFAULTS,
+    _build_parser,
     bench_config_from,
     load_config_file,
     main,
@@ -86,6 +87,17 @@ class TestConfig:
         for line in table.splitlines()[2:]:  # skip the header and rule rows
             keys.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
         assert keys == set(DEFAULTS)
+
+    def test_each_flag_sets_its_config_key(self):
+        parser = _build_parser()
+        settings = {
+            command: set(vars(parser.parse_args([command]))) - {"command", "config", "out"}
+            for command in ("bench", "sim")
+        }
+        assert settings == {
+            "bench": {"seed"} | {k for k in DEFAULTS if k.startswith("bench.")},
+            "sim": {"seed", "sim.agents", "sim.steps", "sim.filters"},
+        }
 
     def test_bad_values(self):
         with pytest.raises(ValueError):
@@ -304,13 +316,16 @@ class TestMain:
         out = tmp_path / "bench.csv"
         code = main(
             [
-                "bench", "--rule", "sc", "--dims", "2x3", "--trials", "10",
-                "--seed", "4", "--out", str(out),
+                "bench", "--rule", "sc", "--dims", "2x3", "--dims", "3x1", "--trials", "10",
+                "--modes", "full", "--seed", "4", "--out", str(out),
             ]
         )
         assert code == 0
         header, rows = parse_csv(out.read_text())
-        assert header[0] == "rule" and len(rows) == 1
+        assert header[0] == "rule"
+        assert [(row[1], row[2], row[-1]) for row in rows] == [
+            ("2", "3", "full-only"), ("3", "1", "full-only")
+        ]
 
     def test_sim_to_stdout(self, capsys):
         code = main(["sim", "--agents", "1", "--steps", "3", "--seed", "2"])

@@ -466,7 +466,7 @@ class TestUniqueNonlinear:
     def test_is_a_read_only_rule_of_dimension_z(self, virtual):
         kind = RuleKind("gh", order=3)
         cr = make_classified(kind, 5, 2, point_budget=10 if virtual else 3**5)
-        assert cr.materialized is not virtual
+        assert (cr.base is not None) is not virtual
         uq = cr.unique
         assert isinstance(uq, CubatureRule)
         assert uq.dim == 2 and uq.kind == kind
@@ -481,7 +481,7 @@ class TestVirtualClassified:
         kind = RuleKind("gh", order=3)
         real = classify(gauss_hermite_rule(5, 3), 2)
         virt = make_classified(kind, 5, 2, point_budget=10)  # forces virtual form
-        assert not virt.materialized
+        assert virt.base is None
         assert virt.count == real.count
         assert (virt.n_c, virt.n_z, virt.n_l) == (real.n_c, real.n_z, real.n_l)
         assert virt.w_cl == pytest.approx(real.w_cl, abs=1e-14)
@@ -498,11 +498,11 @@ class TestVirtualClassified:
 
     def test_materialized_when_within_budget(self):
         cr = make_classified(RuleKind("gh", order=2), 3, 1)
-        assert cr.materialized
+        assert cr.base is not None
 
     def test_non_gh_kinds_always_materialize(self):
         cr = make_classified(RuleKind("sc"), 30, 2, point_budget=10)
-        assert cr.materialized
+        assert cr.base is not None
 
 
 class TestSymmetryProperty:

@@ -241,7 +241,7 @@ class TestStructuredEquivalence:
         rule = unscented_rule(x_dim, 1.0, 2.0)
         model = EstimationModel(
             flow=flow, q=0.05 * np.eye(x_dim), flow_rule=classify(rule, x_dim),
-            measurement=meas, r=0.1 * np.eye(y_dim), meas_perm=Permutation.identity(x_dim),
+            measurement=meas, r=0.1 * np.eye(y_dim), meas_perm=Permutation(np.arange(x_dim)),
             meas_rule=classify(rule, x_dim),
         )
         sa = sb = FilterState(k=0, mean=rng.standard_normal(x_dim), cov=np.eye(x_dim))
@@ -485,7 +485,7 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             EstimationModel(
                 flow=flow, q=np.eye(3), flow_rule=rule, measurement=meas, r=np.eye(2),
-                meas_perm=Permutation.identity(x_dim), meas_rule=rule,
+                meas_perm=Permutation(np.arange(x_dim)), meas_rule=rule,
             )
 
     def test_rejects_non_spd_noise(self, rng):
@@ -496,7 +496,7 @@ class TestModelValidation:
         with pytest.raises(Exception):
             EstimationModel(
                 flow=flow, q=-np.eye(x_dim), flow_rule=rule, measurement=meas, r=np.eye(2),
-                meas_perm=Permutation.identity(x_dim), meas_rule=rule,
+                meas_perm=Permutation(np.arange(x_dim)), meas_rule=rule,
             )
 
     def test_noise_stored_exactly_symmetric(self, rng):

@@ -200,7 +200,7 @@ class TestCholeskyPartial:
 
 class TestPermutation:
     def test_identity_roundtrip(self, rng):
-        perm = Permutation.identity(4)
+        perm = Permutation(np.arange(4))
         m = rng.standard_normal(4)
         p = random_spd(rng, 4)
         m2, p2 = permute_moments(perm, m, p)
@@ -239,7 +239,7 @@ class TestPermutation:
             Permutation(np.array([0, 2]))
 
     def test_length_mismatch(self, rng):
-        perm = Permutation.identity(3)
+        perm = Permutation(np.arange(3))
         with pytest.raises(ValueError):
             permute_moments(perm, np.zeros(4), np.eye(4))
 

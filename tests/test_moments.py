@@ -554,7 +554,7 @@ class TestMatchGeneral:
         jf = match_full(plf, m, p, rule)
         real = make_classified(kind, x, z)
         virt = make_classified(kind, x, z, point_budget=10)
-        assert real.materialized and not virt.materialized
+        assert real.base is not None and virt.base is None
         for cr in (real, virt):
             jp = match_pl(plf, m, p, cr)
             for block in BLOCKS:

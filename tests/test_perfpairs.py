@@ -78,6 +78,44 @@ def test_unmeasured_metric_left_out():
         }
     ]
     assert [row["metric"] for row in perfpairs.summarize(pairs, {})] == ["a"]
+    assert perfpairs.unmeasured(pairs) == [f"{'b':40s} unmeasured on base in 1/1 pairs"]
+
+
+def test_main_prints_unmeasured_metrics(tmp_path, monkeypatch, capsys):
+    """A metric that is null on either side is printed with the side and the
+    number of pairs, never dropped in silence."""
+    lines = {  # (checkout, call on that side) -> result line
+        ("base", 0): _line(full__op_ms__p50=2.0, setup_s=0.5, pl__op_ms__p50=1.0),
+        ("base", 1): _line(full__op_ms__p50=2.0, setup_s=0.5, pl__op_ms__p50=None),
+        ("change", 0): _line(full__op_ms__p50=1.0, setup_s=None, pl__op_ms__p50=None),
+        ("change", 1): _line(full__op_ms__p50=1.0, setup_s=0.5, pl__op_ms__p50=None),
+    }
+    calls = {"base": 0, "change": 0}
+
+    def run_side(checkout, workload, seed, seconds):
+        side = checkout.name
+        calls[side] += 1
+        return lines[side, calls[side] - 1]
+
+    monkeypatch.setattr(perfpairs, "run_side", run_side)
+    for side in calls:
+        (tmp_path / side).mkdir()
+    args = [str(tmp_path / "base"), str(tmp_path / "change"), "--workload", "w"]
+    assert perfpairs.main([*args, "--seconds", "1", "--pairs", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == (
+        "pair 1 (base first): full.op_ms.p50 2 -> 1; pl.op_ms.p50 1 -> unmeasured; "
+        "setup_s 0.5 -> unmeasured; failed 0 -> 0"
+    )
+    assert out[1].startswith("pair 2 (change first): ")
+    assert [line.split()[0] for line in out[3:]] == ["full.op_ms.p50"] + [
+        "setup_s", "pl.op_ms.p50", "pl.op_ms.p50"
+    ]
+    assert out[-3:] == [
+        f"{'setup_s':40s} unmeasured on change in 1/2 pairs",
+        f"{'pl.op_ms.p50':40s} unmeasured on base in 1/2 pairs",
+        f"{'pl.op_ms.p50':40s} unmeasured on change in 2/2 pairs",
+    ]
 
 
 def test_format_row():

@@ -19,7 +19,8 @@ change's ``BENCHMARK.json`` (lower is better for a metric it does not
 list).  A gain may be claimed when the change wins at least nine tenths of
 the pairs, ties counting for neither, and its median is better than the
 base's by more than the distance between the base's quartiles.  A bound is
-a share of the base's median.
+a share of the base's median.  A metric that is unmeasured (``null``) in any
+run gets no summary; a line names the side and the number of pairs instead.
 """
 from __future__ import annotations
 
@@ -96,6 +97,25 @@ def summarize(
             }
         )
     return rows
+
+
+def unmeasured(pairs: list[dict]) -> list[str]:
+    """A line for each metric and side that is ``None`` in any pair, which
+    :func:`summarize` leaves out: it names the side and the pairs."""
+    names = dict.fromkeys(
+        name for pair in pairs for side in SIDES for name in pair[side]["metrics"]
+    )
+    lines = []
+    for name in names:
+        for side in SIDES:
+            missing = sum(pair[side]["metrics"].get(name) is None for pair in pairs)
+            if missing:
+                lines.append(f"{name:40s} unmeasured on {side} in {missing}/{len(pairs)} pairs")
+    return lines
+
+
+def _cell(value) -> str:
+    return "unmeasured" if value is None else f"{value:.6g}"
 
 
 def format_row(row: dict) -> str:
@@ -178,18 +198,19 @@ def main(argv=None) -> int:
         for side in order:
             pair[side] = parse_result(run_side(checkouts[side], args.workload, args.seed, args.seconds))
         pairs.append(pair)
-        cells = []
-        for name in ("full.op_ms.p50", "pl.op_ms.p50", "setup_s"):
-            b = pair["base"]["metrics"].get(name)
-            c = pair["change"]["metrics"].get(name)
-            if b is not None and c is not None:
-                cells.append(f"{name} {b:.6g} -> {c:.6g}")
+        cells = [
+            f"{name} {_cell(pair['base']['metrics'].get(name))} -> "
+            f"{_cell(pair['change']['metrics'].get(name))}"
+            for name in ("full.op_ms.p50", "pl.op_ms.p50", "setup_s")
+        ]
         failed = f"failed {pair['base']['failed']} -> {pair['change']['failed']}"
         print(f"pair {i + 1} ({order[0]} first): {'; '.join(cells)}; {failed}", flush=True)
     print(f"{args.workload}, {args.pairs} pairs of {args.seconds:g} s, seed {args.seed}: "
           "median [quartiles] base -> change")
     for row in summarize(pairs, better, bounds):
         print(format_row(row))
+    for line in unmeasured(pairs):
+        print(line)
     return 0
 
 
