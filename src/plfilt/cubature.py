@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import PointBudgetExceededError
-from .linalg import _linear_form
+from .linalg import _gram_form, _linear_form
 
 DEFAULT_POINT_BUDGET = 10_000_000
 # roundoff bound of the preconditions that classify checks, relative to a
@@ -109,6 +109,26 @@ class CubatureRule:
         nonzero per column, so they are a column gather and a scale;
         Gauss-Hermite grids keep the dense product."""
         return _linear_form(self.points, right=True)
+
+    @cached_property
+    def _gram_form(self) -> Callable[[np.ndarray], np.ndarray]:
+        """``D -> D diag(weights) Dᵀ`` for a matrix ``D`` with ``count``
+        columns, as symmetric rank-k updates that return it exactly
+        symmetric (see :func:`plfilt.linalg._gram_form`), set up on first
+        use."""
+        return _gram_form(self.weights)
+
+    @cached_property
+    def _cross_form(self) -> Callable[[np.ndarray], np.ndarray]:
+        """``D -> D diag(weights) pointsᵀ`` for a matrix ``D`` with
+        ``count`` columns: the points acting on weighted deviations, in unit
+        space.  The form is picked on first use from the weighted points
+        (see :func:`plfilt.linalg._linear_form`), never from ``kind``.  When
+        the points come in pairs ``±c eₖ`` of equal weight, as the spherical
+        and unscented points do, it is ``c w (D⁺ - D⁻)``, a difference of
+        two column views and a scale; any other rule keeps the dense
+        product."""
+        return _linear_form(self.weights[:, None] * self.points.T, right=True)
 
 
 def spherical_rule(x: int) -> CubatureRule:

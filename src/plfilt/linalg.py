@@ -1,6 +1,7 @@
 """Dense symmetric-matrix utilities: full and partial Cholesky factors from
-LAPACK, the lower-to-upper triangle mirror, index-vector permutations, and
-the exact form of a product with a constant matrix.
+LAPACK, the lower-to-upper triangle mirror, index-vector permutations, the
+cheapest form of a product with a constant matrix, and the weighted
+symmetric product ``D diag(w) Dᵀ`` as a rank-k update.
 
 A matrix handed to a factorization is checked (finite, and symmetric within
 :data:`SYMMETRY_RTOL`), then its lower triangle is factored as given: no
@@ -221,9 +222,26 @@ def _scaled_columns(idx: np.ndarray, vals: np.ndarray, mat: np.ndarray) -> np.nd
     return out
 
 
+def _paired_columns(plus: slice, minus: slice, vals: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    out = mat[:, plus] - mat[:, minus]  # a new C-ordered array, scaled in place
+    out *= vals
+    return out
+
+
+def _run(idx: np.ndarray) -> slice | None:
+    """``idx`` as a slice when it steps by a constant nonzero amount, else
+    ``None``."""
+    first = int(idx[0])
+    step = int(idx[1]) - first if idx.size > 1 else 1
+    stop = first + step * idx.size
+    if step and idx.tolist() == list(range(first, stop, step)):
+        return slice(first, stop if stop >= 0 else None, step)
+    return None
+
+
 def _linear_form(a: np.ndarray, right: bool = False) -> Callable[[np.ndarray], np.ndarray]:
     """``M -> a @ M`` for a vector or a matrix ``M``, or with ``right``
-    ``M -> M @ a`` for a matrix ``M``, in the cheapest exact form the finite
+    ``M -> M @ a`` for a matrix ``M``, in the cheapest form the finite
     matrix ``a`` admits.  The form is picked once, from ``a`` alone:
 
     * on the left, when every row holds a single 1 and zeros elsewhere, a
@@ -236,17 +254,35 @@ def _linear_form(a: np.ndarray, right: bool = False) -> Callable[[np.ndarray], n
       (a zero column of ``a`` gives a zero column).  For finite ``M`` each
       entry is the one nonzero product of the dense sum, so the two agree
       exactly;
+    * on the right, when every column holds exactly two nonzeros ``v`` and
+      ``-v``, and the rows of the ``v`` and of the ``-v`` each step evenly
+      from column to column, as in a mirrored point set's weighted
+      transpose, the difference of two evenly stepped views of ``M``,
+      scaled by ``v`` in place.  Each entry is rounded once in the
+      difference and once in the scale, so it agrees with the dense sum to
+      roundoff rather than exactly;
     * the dense product otherwise.
 
-    Both right forms return a new C-ordered array, so a product formed from
-    it afterwards runs as it would on the dense product's result.
+    Every right form returns a new C-ordered array, so a product formed
+    from it afterwards runs as it would on the dense product's result.
     """
     if right:
+        cols = np.arange(a.shape[1])
+        nonzeros = np.count_nonzero(a)
+        if nonzeros == 2 * cols.size:
+            # a positive largest and a negative smallest entry of equal size
+            # in every column leave no room for other nonzeros
+            plus, minus = a.argmax(axis=0), a.argmin(axis=0)
+            vals = a[plus, cols]
+            if (vals > 0.0).all() and (a[minus, cols] == -vals).all():
+                plus, minus = _run(plus), _run(minus)
+                if plus is not None and minus is not None:
+                    return functools.partial(_paired_columns, plus, minus, vals)
         idx = np.abs(a).argmax(axis=0)
-        vals = a[idx, np.arange(a.shape[1])]
+        vals = a[idx, cols]
         # each column's largest entry covers all its nonzeros only when it
         # has at most one
-        if np.count_nonzero(vals) == np.count_nonzero(a):
+        if np.count_nonzero(vals) == nonzeros:
             return functools.partial(_scaled_columns, idx, vals)
         return functools.partial(_matmul_right, a)
     rows, cols = np.nonzero(a)  # row-major, so one nonzero per row gives rows 0..n-1
@@ -261,3 +297,28 @@ def _linear_form(a: np.ndarray, right: bool = False) -> Callable[[np.ndarray], n
                 diag = np.arange(n)
                 return functools.partial(_block_diagonal, a.reshape(n, b, n, b)[diag, :, diag])
     return functools.partial(np.matmul, a)
+
+
+def _weighted_gram(root: np.ndarray, neg: np.ndarray, neg_root: np.ndarray, d: np.ndarray) -> np.ndarray:
+    # numpy runs a product of one buffer with its own transpose as dsyrk and
+    # copies the triangle over, so each product is exactly symmetric, and so
+    # is their difference
+    scaled = d * root
+    out = scaled @ scaled.T
+    if neg.size:
+        scaled = d[:, neg] * neg_root
+        out -= scaled @ scaled.T
+    return out
+
+
+def _gram_form(w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``D -> D diag(w) Dᵀ`` for an ``(n, N)`` matrix ``D`` and ``N``
+    weights ``w`` of any sign, as symmetric rank-k updates: the columns of
+    ``D`` scaled by ``sqrt(max(w, 0))`` times their own transpose, less,
+    when some weights are negative, the same product of those columns
+    scaled by ``sqrt(-w)``.  The square roots are taken once, here.  numpy
+    runs each product as one ``dsyrk``, half the flops of the dense
+    product, and the returned C-ordered ``(n, n)`` array is exactly
+    symmetric."""
+    neg = np.flatnonzero(w < 0.0)
+    return functools.partial(_weighted_gram, np.sqrt(np.maximum(w, 0.0)), neg, np.sqrt(-w[neg]))

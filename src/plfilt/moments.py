@@ -6,7 +6,12 @@ routes are provided for the joint first/second moments of a Gaussian input
 and a function output:
 
 * :func:`match_full` runs the plain cubature sums, evaluating the function at
-  every integration point in one call.
+  every integration point in one call.  Its output covariance is one
+  symmetric rank-k update (less a second one for negative weights), and its
+  cross covariance ``L (Ξ W Dyᵀ)`` is formed in unit space, where the
+  spherical and unscented points ``±c eₖ`` reduce it to ``c w (Dy⁺ - Dy⁻)``;
+  for those rules the two cost half the flops of the dense sums.  The forms
+  are worked out once per rule from its points and weights.
 * :func:`match_pl` exploits the structure ``y = [A1 x + g(z); A x]``
   (nonlinear in the leading ``z`` coordinates only, ``A1`` optional): with a
   lower-triangular square root, points that do not perturb the leading block
@@ -154,10 +159,12 @@ class PartiallyLinearFunction:
 def _plain_sums(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule):
     """The plain cubature sums of :func:`match_full` up to ``p_yy``.
 
-    Returns ``(m_y, p_yy, dx, dy)``: the output mean, the exactly symmetric
-    output covariance, and the points' deviations from the input and the
-    output mean, from which :func:`match_full` forms ``p_xy``.  A filter's
-    predict reads only the first two.
+    Returns ``(m_y, p_yy, l, dy)``: the output mean, the exactly symmetric
+    output covariance, the input covariance's Cholesky factor and the
+    points' deviations from the output mean, from which :func:`match_full`
+    forms ``p_xy``.  A filter's predict reads only the first two.
+    ``p_yy = Dy W Dyᵀ`` is formed as symmetric rank-k updates
+    (:attr:`CubatureRule._gram_form`), which return it exactly symmetric.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (rule.dim,):
@@ -165,19 +172,18 @@ def _plain_sums(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule):
     l = cholesky_full(p)
     if l.shape[0] != rule.dim:
         raise ValueError("covariance dimension does not match rule dimension")
-    dx = rule._point_form(l)
-    xpts = m[:, None] + dx
+    xpts = rule._point_form(l)  # a new array: the points' deviations, shifted in place
+    xpts += m[:, None]
     ypts = np.asarray(f(xpts), dtype=float)
     if ypts.ndim != 2 or ypts.shape[1] != rule.count:
         raise ValueError(
             f"f returned shape {ypts.shape} for a {xpts.shape} input, expected "
             f"{rule.count} columns: f must map a (dim, n) matrix column-wise"
         )
-    w = rule.weights
-    m_y = ypts @ w
+    m_y = ypts @ rule.weights
     dy = ypts - m_y[:, None]
-    p_yy = mirror_lower((dy * w) @ dy.T)
-    return m_y, p_yy, dx, dy
+    p_yy = rule._gram_form(dy)
+    return m_y, p_yy, l, dy
 
 
 def match_full(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule) -> JointGaussian:
@@ -193,11 +199,19 @@ def match_full(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule) -> JointGaus
     factor and agree up to roundoff.  ``L`` times the points is applied in
     the form the rule picked for them (:attr:`CubatureRule._point_form`): a
     column gather and a scale for the spherical and unscented points, the
-    dense product otherwise.  As from :func:`match_pl`, the returned
-    ``p_yy`` is exactly symmetric (its lower triangle mirrored).
+    dense product otherwise.  The output covariance is a rank-k update
+    (see :func:`_plain_sums`), and as from :func:`match_pl` the returned
+    ``p_yy`` is exactly symmetric.  The cross covariance is formed in unit
+    space, ``p_xy = L (Ξ W Dyᵀ)``: the points act on the weighted output
+    deviations in the form the rule picked (:attr:`CubatureRule._cross_form`),
+    ``c w (Dy⁺ - Dy⁻)`` for points ``±c eₖ``, and one product with ``L``
+    maps the result into state space, at half the dense sum's flops for
+    those rules.  It is a numpy product and not a triangular ``dtrmm``:
+    scipy's BLAS is a second OpenBLAS with its own threads, and, unpinned,
+    handing work from numpy's to it costs milliseconds on a two-core host.
     """
-    m_y, p_yy, dx, dy = _plain_sums(f, m, p, rule)
-    p_xy = (dx * rule.weights) @ dy.T
+    m_y, p_yy, l, dy = _plain_sums(f, m, p, rule)
+    p_xy = l @ rule._cross_form(dy).T
     return JointGaussian(
         m_x=np.asarray(m, dtype=float),
         m_y=m_y,

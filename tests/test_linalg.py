@@ -286,6 +286,16 @@ def _two_in_column_4(a):
     return a
 
 
+def _paired(rng, n, order):
+    """An ``(2 n, n)`` matrix whose column k holds ``v_k`` and ``-v_k`` in
+    rows ``order[k]`` and ``order[n + k]``, zeros elsewhere."""
+    a = np.zeros((2 * n, n))
+    v = rng.uniform(0.5, 2.0, n)
+    a[order[:n], np.arange(n)] = v
+    a[order[n:], np.arange(n)] = -v
+    return a
+
+
 class TestRightLinearForm:
     """``_linear_form(a, right=True)`` picks the form of ``M -> M @ a``."""
 
@@ -312,3 +322,30 @@ class TestRightLinearForm:
         out = form(m)
         assert np.array_equal(out, m @ a)
         assert out.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "order",
+        [np.arange(60), np.r_[np.arange(59, 29, -1), np.arange(30)]],
+        ids=["stepped", "reversed"],  # [I, -I], as a spherical rule's weighted points
+    )
+    @pytest.mark.parametrize("rows", [1, 70])
+    def test_paired_columns_within_roundoff(self, rng, order, rows):
+        """Columns holding exactly ``v`` and ``-v`` in evenly stepped rows
+        take the difference of two views of ``M``; it agrees with the
+        dense product to one rounding each in the difference and the
+        scale."""
+        a = _paired(rng, 30, order)
+        form = _linear_form(a, right=True)
+        assert form.func.__name__ == "_paired_columns"
+        m = rng.standard_normal((rows, 60))
+        out = form(m)
+        dense = m @ a
+        assert np.abs(out - dense).max() <= 4 * np.finfo(float).eps * np.abs(dense).max()
+        assert out.flags.c_contiguous
+
+    @pytest.mark.parametrize("case", ["unequal", "same-sign", "shuffled"])
+    def test_unmatched_pair_keeps_dense_product(self, rng, case):
+        a = _paired(rng, 30, rng.permutation(60) if case == "shuffled" else np.arange(60))
+        if case != "shuffled":
+            a[33, 3] = (-1.5 if case == "unequal" else 1.0) * a[3, 3]
+        assert _linear_form(a, right=True).func.__name__ == "_matmul_right"

@@ -4,6 +4,7 @@ import pytest
 
 from plfilt import (
     BearingSensorParams,
+    CubatureRule,
     PartiallyLinearFunction,
     RuleKind,
     SingerParams,
@@ -11,6 +12,7 @@ from plfilt import (
     classify,
     fusion_model,
     gauss_hermite_rule,
+    hermite_1d,
     make_classified,
     make_rule,
     match_full,
@@ -20,7 +22,6 @@ from plfilt import (
     cholesky_partial,
     unscented_rule,
 )
-from plfilt.linalg import mirror_lower
 from conftest import random_spd
 
 RULES = {
@@ -277,10 +278,28 @@ def _pl_set(rule, z):
     return classify(rule, z)._zero_and_unique
 
 
+def _asymmetric_rule():
+    """A user-built rule of dimension 3 with ``kind`` "sc" whose points have
+    no mirrored twins: 1-D points (-2, 0, 1) tensored with the 3-point
+    Gauss-Hermite rule in two trailing coordinates."""
+    roots, w1 = hermite_1d(3)
+    lead, w_lead = np.array([-2.0, 0.0, 1.0]), np.array([1 / 6, 1 / 2, 1 / 3])
+    points = np.stack(np.meshgrid(lead, roots, roots, indexing="ij")).reshape(3, 27)
+    weights = np.multiply.outer(np.multiply.outer(w_lead, w1), w1).ravel()
+    return CubatureRule(dim=3, weights=weights, points=points, kind=RuleKind("sc"))
+
+
+# bound on the relative gap between match_full's p_xy and p_yy and the dense
+# sums; the cases below measure at most 1e-14 over 200 trials each
+DENSE_SUMS_RTOL = 1e-12
+
+
 class TestPointForms:
     """Each rule picks one exact form for ``L -> L @ points``: a column
     gather and a scale when every point has at most one nonzero coordinate,
-    the dense product otherwise."""
+    the dense product otherwise.  Its forms for the output and cross
+    covariance sums come from its points and weights too, never from its
+    kind."""
 
     X = 60
     CASES = {
@@ -288,7 +307,10 @@ class TestPointForms:
         "sc-60": (lambda: spherical_rule(60), "_scaled_columns"),
         "ut-27": (lambda: unscented_rule(27, 1.0, 2.0), "_scaled_columns"),
         "ut-60": (lambda: unscented_rule(60, 0.5, 3.0), "_scaled_columns"),
+        # centre weight lambda / (lambda + X) = -19.5 / 7.5 = -2.6
+        "ut-27-neg": (lambda: unscented_rule(27, 0.5, 3.0), "_scaled_columns"),
         "gh3": (lambda: gauss_hermite_rule(3, 3), "_matmul_right"),
+        "asymmetric": (_asymmetric_rule, "_matmul_right"),
         # match_pl's set: a zero column, then the grouped nonlinear points
         "pl-sc-60-20": (lambda: _pl_set(spherical_rule(60), 20), "_scaled_columns"),
         "pl-sc-60-50": (lambda: _pl_set(spherical_rule(60), 50), "_scaled_columns"),
@@ -311,7 +333,12 @@ class TestPointForms:
 
     @pytest.mark.parametrize("case", FULL)
     def test_match_full_bit_identical_to_dense(self, rng, case):
+        """``m_y`` is the dense sum bit for bit.  ``p_xy``, a unit-space
+        product, and ``p_yy``, rank-k updates, agree with the dense sums
+        within :data:`DENSE_SUMS_RTOL`, and ``p_yy`` is exactly symmetric."""
         rule = self.CASES[case][0]()
+        if case == "ut-27-neg":
+            assert rule.weights[0] == pytest.approx(-2.6, rel=1e-12)
         plf = benchmark_function(2, rule.dim - 2, 3)
         for _ in range(3):
             m, p = trial_moments(rng, rule.dim)
@@ -322,8 +349,35 @@ class TestPointForms:
             m_y = ypts @ w
             dy = ypts - m_y[:, None]
             assert np.array_equal(jt.m_y, m_y)
-            assert np.array_equal(jt.p_xy, (dx * w) @ dy.T)
-            assert np.array_equal(jt.p_yy, mirror_lower((dy * w) @ dy.T))
+            for got, dense in ((jt.p_xy, (dx * w) @ dy.T), (jt.p_yy, (dy * w) @ dy.T)):
+                assert np.abs(got - dense).max() <= DENSE_SUMS_RTOL * np.abs(dense).max()
+            assert np.array_equal(jt.p_yy, jt.p_yy.T)
+
+    @pytest.mark.parametrize(
+        "case, cross",
+        [
+            ("sc-27", "_paired_columns"),
+            ("ut-27-neg", "_paired_columns"),
+            ("gh3", "_matmul_right"),
+            ("asymmetric", "_matmul_right"),
+        ],
+    )
+    def test_sum_forms_follow_the_points(self, rng, case, cross):
+        """The cross form pairs the columns only where the weighted points
+        pair as ``±c eₖ``, whatever the rule's kind; both forms are set up
+        once per rule and agree with the dense sums."""
+        rule = self.CASES[case][0]()
+        assert rule._cross_form.func.__name__ == cross
+        assert rule._cross_form is rule._cross_form
+        assert rule._gram_form is rule._gram_form
+        d = rng.standard_normal((7, rule.count))
+        w = rule.weights
+        dense = (d * w) @ d.T
+        gram = rule._gram_form(d)
+        assert np.array_equal(gram, gram.T)
+        assert np.abs(gram - dense).max() <= DENSE_SUMS_RTOL * np.abs(dense).max()
+        dense = (d * w) @ rule.points.T
+        assert np.abs(rule._cross_form(d) - dense).max() <= DENSE_SUMS_RTOL * np.abs(dense).max()
 
     @pytest.mark.parametrize("kind", ["sc", "ut_05_3"])
     def test_pl_set_built_once(self, kind):

@@ -118,6 +118,40 @@ def test_main_prints_unmeasured_metrics(tmp_path, monkeypatch, capsys):
     ]
 
 
+def test_main_prints_speed_ratios(tmp_path, monkeypatch, capsys):
+    """After the summary, each side's median over its runs of
+    full.op_ms.p50 / pl.op_ms.p50."""
+    runs = {  # checkout -> (full, pl) of its three runs; ratios 2.5, 3, 2 and 2, 2.2, 2.3
+        "base": ((10.0, 4.0), (12.0, 4.0), (9.0, 4.5)),
+        "change": ((8.0, 4.0), (8.8, 4.0), (9.2, 4.0)),
+    }
+    lines = {
+        side: [_line(full__op_ms__p50=full, pl__op_ms__p50=pl) for full, pl in values]
+        for side, values in runs.items()
+    }
+    monkeypatch.setattr(
+        perfpairs, "run_side", lambda checkout, workload, seed, seconds: lines[checkout.name].pop(0)
+    )
+    for side in lines:
+        (tmp_path / side).mkdir()
+    args = [str(tmp_path / "base"), str(tmp_path / "change"), "--workload", "w"]
+    assert perfpairs.main([*args, "--seconds", "1", "--pairs", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "full.op_ms.p50 / pl.op_ms.p50, median: 2.5 -> 2.2"
+    assert out[-3].startswith("full.op_ms.p50 ") and out[-2].startswith("pl.op_ms.p50 ")
+
+
+def test_speed_ratio_unmeasured():
+    pairs = [
+        {
+            "base": perfpairs.parse_result(_line(full__op_ms__p50=2.0, pl__op_ms__p50=None)),
+            "change": perfpairs.parse_result(_line(full__op_ms__p50=2.0, pl__op_ms__p50=1.0)),
+        }
+    ]
+    assert perfpairs.speed_ratio(pairs, "base") is None
+    assert perfpairs.speed_ratio(pairs, "change") == 2.0
+
+
 def test_format_row():
     (row,) = perfpairs.summarize(_pairs([2.0, 4.0], [0.5, 2.5]), {})
     assert perfpairs.format_row(row) == (

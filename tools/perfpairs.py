@@ -14,12 +14,15 @@ script prints every pair as it completes, then one line per metric: the
 median and the quartiles of each side, the number of pairs the change
 won, whether a gain may be claimed, and, for a metric with a regression
 bound, whether the change's median is worse than the base's by more than
-that bound.  A metric's better direction and bound are read from the
-change's ``BENCHMARK.json`` (lower is better for a metric it does not
-list).  A gain may be claimed when the change wins at least nine tenths of
-the pairs, ties counting for neither, and its median is better than the
-base's by more than the distance between the base's quartiles.  A bound is
-a share of the base's median.  A metric that is unmeasured (``null``) in any
+that bound.  A last line gives each side's median over its runs of
+``full.op_ms.p50 / pl.op_ms.p50``, for information only; it is left out
+when neither side measured both in every run, which the lines on
+unmeasured metrics already say.  A metric's better direction and bound
+are read from the change's ``BENCHMARK.json`` (lower is better for a
+metric it does not list).  A gain may be claimed when the change wins at
+least nine tenths of the pairs, ties counting for neither, and its median
+is better than the base's by more than the distance between the base's
+quartiles.  A bound is a share of the base's median.  A metric that is unmeasured (``null``) in any
 run gets no summary; a line names the side and the number of pairs instead.
 """
 from __future__ import annotations
@@ -112,6 +115,19 @@ def unmeasured(pairs: list[dict]) -> list[str]:
             if missing:
                 lines.append(f"{name:40s} unmeasured on {side} in {missing}/{len(pairs)} pairs")
     return lines
+
+
+def speed_ratio(pairs: list[dict], side: str) -> float | None:
+    """The median over ``side``'s runs of ``full.op_ms.p50 / pl.op_ms.p50``;
+    ``None`` when either is unmeasured in any run."""
+    ratios = []
+    for pair in pairs:
+        metrics = pair[side]["metrics"]
+        full, pl = metrics.get("full.op_ms.p50"), metrics.get("pl.op_ms.p50")
+        if full is None or pl is None:
+            return None
+        ratios.append(full / pl)
+    return statistics.median(ratios)
 
 
 def _cell(value) -> str:
@@ -211,6 +227,9 @@ def main(argv=None) -> int:
         print(format_row(row))
     for line in unmeasured(pairs):
         print(line)
+    ratios = [speed_ratio(pairs, side) for side in SIDES]
+    if ratios != [None, None]:
+        print(f"full.op_ms.p50 / pl.op_ms.p50, median: {_cell(ratios[0])} -> {_cell(ratios[1])}")
     return 0
 
 
