@@ -9,7 +9,6 @@ gains ``R``.  Models with noise entering nonlinearly are out of scope.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,16 +176,6 @@ def kalman_update(joint: JointGaussian, y: np.ndarray) -> GaussianMoments:
     return GaussianMoments(mean=mean, cov=mirror_lower(cov_t.T))
 
 
-@contextmanager
-def _phase(step: int, phase: str):
-    """Report a library error raised inside one phase of a step as a
-    :class:`FilterStepError` carrying the step index and the phase."""
-    try:
-        yield
-    except PlfiltError as exc:
-        raise FilterStepError(step, phase, str(exc)) from exc
-
-
 def _predict_materialized(f, m: np.ndarray, p: np.ndarray, cr: ClassifiedRule):
     return _plain_sums(f, m, p, cr.base)[:2]
 
@@ -220,26 +209,31 @@ def _step(
     part of it.  Input within the tolerance whose triangles differ is
     stepped on with its lower triangle mirrored, the triangle the
     factorizations read, so the structured flow's ``A P`` reads the same
-    matrix too."""
+    matrix too.  A library error raised past that check surfaces as a
+    :class:`FilterStepError` with the step index and the phase the one
+    ``try`` was in: ``predict`` through the permutation, ``measure``
+    through the joint, ``update`` through the posterior check."""
     cov = _check_square(state.cov)
     if not _check_symmetric(cov, cov.T):
         cov = mirror_lower(cov)
     k_next = state.k + 1
-    with _phase(k_next, "predict"):
+    phase = "predict"
+    try:
         m_pred, p_pred = predict(model.flow, state.mean, cov, model.flow_rule)
-    p_pred += model.q
-
-    m_bar, p_bar = permute_moments(model.meas_perm, m_pred, p_pred)
-    with _phase(k_next, "measure"):
+        p_pred += model.q
+        m_bar, p_bar = permute_moments(model.meas_perm, m_pred, p_pred)
+        phase = "measure"
         jm = match(model.measurement, m_bar, p_bar, model.meas_rule)
-    # only the cross covariance's rows go back to state coordinates
-    p_xy = jm.p_xy[model.meas_perm.inverse.indices]
-    p_yy = jm.p_yy
-    p_yy += model.r
-    joint = JointGaussian(m_x=m_pred, m_y=jm.m_y, p_xx=p_pred, p_xy=p_xy, p_yy=p_yy)
-    with _phase(k_next, "update"):
+        # only the cross covariance's rows go back to state coordinates
+        p_xy = jm.p_xy.take(model.meas_perm.inverse.indices, axis=0)
+        p_yy = jm.p_yy
+        p_yy += model.r
+        joint = JointGaussian(m_x=m_pred, m_y=jm.m_y, p_xx=p_pred, p_xy=p_xy, p_yy=p_yy)
+        phase = "update"
         post = kalman_update(joint, y)
         cholesky_full(post.cov)  # the posterior must stay positive definite
+    except PlfiltError as exc:
+        raise FilterStepError(k_next, phase, str(exc)) from exc
     return FilterState(
         k=k_next, mean=post.mean, cov=post.cov, prediction=joint if keep_prediction else None
     )

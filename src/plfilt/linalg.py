@@ -7,10 +7,10 @@ A matrix handed to a factorization is checked (finite, and symmetric within
 :data:`SYMMETRY_RTOL`), then its lower triangle is factored as given: no
 symmetrized copy is built.  The filters build every covariance exactly
 symmetric, so the triangle read is the whole matrix, and the check takes a
-fast path on such input: one exact comparison of the two triangles and one
-finiteness test, with no float temporaries.  Only input that fails the
-comparison pays for the tolerance arithmetic, which accepts or refuses it
-as it would without the fast path.
+fast path on such input: one ``(a == b).all()`` of the two triangles and one
+finiteness test (which :func:`cholesky_full` reads off the factor's trace),
+with no float temporaries.  Only other input pays for the tolerance
+arithmetic, which accepts or refuses it as it would without the fast path.
 
 Permutations are deliberately kept as index vectors and applied as gathers;
 building dense permutation matrices here would defeat their purpose (a
@@ -41,13 +41,13 @@ def _check_symmetric(block: np.ndarray, mirror: np.ndarray, check_finite: bool =
     the block on the other side of the diagonal) are finite and agree within
     the symmetry tolerance; return whether they are exactly equal.
 
-    Exactly equal triangles that are finite pass after one comparison and
-    one finiteness pass; a caller that reads finiteness elsewhere skips the
-    latter with ``check_finite=False``.  A NaN never compares equal, so only
-    an infinity can pass the comparison.  Anything else is measured against
-    the tolerance.
+    Exactly equal triangles (of one shape) that are finite pass after one
+    comparison and one finiteness pass; a caller that reads finiteness
+    elsewhere skips the latter with ``check_finite=False``.  A NaN never
+    compares equal, so only an infinity can pass the comparison.  Anything
+    else is measured against the tolerance.
     """
-    if np.array_equal(block, mirror):
+    if (block == mirror).all():
         if not check_finite or np.isfinite(block).all():
             return True
     scale = float(np.abs(block).max(initial=0.0))
@@ -98,7 +98,8 @@ def cholesky_full(p: np.ndarray) -> np.ndarray:
     non-finite entry.
 
     An exactly symmetric ``p`` costs one comparison before ``dpotrf``, and
-    its finiteness is read off the factor: an infinity in the lower triangle
+    its finiteness is read off the factor's trace (a sum of square roots of
+    doubles, which cannot overflow): an infinity in the lower triangle
     either stops ``dpotrf`` or leaves a non-finite diagonal, and only then
     is ``p`` scanned, so a non-finite entry is reported as such and not as
     an indefinite pivot.
@@ -110,7 +111,7 @@ def cholesky_full(p: np.ndarray) -> np.ndarray:
     work = p.T.copy()
     _check_symmetric(p, work, check_finite=False)
     c, info = lapack.dpotrf(work.T, lower=1, clean=1, overwrite_a=1)
-    if (info > 0 or not np.isfinite(c.diagonal()).all()) and not np.isfinite(p).all():
+    if (info > 0 or not math.isfinite(c.trace())) and not np.isfinite(p).all():
         raise ValueError("matrix contains non-finite values")
     if info > 0:
         raise NotPositiveDefiniteError(pivot=info - 1)
@@ -145,6 +146,7 @@ def cholesky_partial(p: np.ndarray, z: int) -> PartialCholesky:
     as given, so both functions factor the same triangle, and an exactly
     symmetric strip costs one comparison.  Its finiteness is tested
     explicitly, since the strip's trailing rows never reach ``dpotrf``.
+    The product writes ``L21`` under ``L11`` in the one returned array.
     """
     p = _check_square(p)
     x = p.shape[0]
@@ -157,7 +159,10 @@ def cholesky_partial(p: np.ndarray, z: int) -> PartialCholesky:
     if info > 0:
         raise NotPositiveDefiniteError(pivot=info - 1)
     l11_inv, _ = lapack.dtrtri(l11, lower=1)  # positive diagonal: never singular
-    return PartialCholesky(_cols=np.concatenate((l11, strip[z:] @ l11_inv.T)))
+    cols = np.empty((x, z))
+    cols[:z] = l11
+    np.matmul(strip[z:], l11_inv.T, out=cols[z:])
+    return PartialCholesky(_cols=cols)
 
 
 @dataclass(frozen=True)
@@ -205,6 +210,10 @@ def permute_moments(perm: Permutation, m: np.ndarray, p: np.ndarray):
             f"moment shapes {m.shape}/{p.shape} do not match permutation of size {idx.size}"
         )
     return m[idx], p[idx][:, idx]
+
+
+def _gathered_rows(idx: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    return mat.take(idx, axis=0)
 
 
 def _block_diagonal(blocks: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -287,7 +296,7 @@ def _linear_form(a: np.ndarray, right: bool = False) -> Callable[[np.ndarray], n
         return functools.partial(_matmul_right, a)
     rows, cols = np.nonzero(a)  # row-major, so one nonzero per row gives rows 0..n-1
     if np.array_equal(rows, np.arange(a.shape[0])) and (a[rows, cols] == 1.0).all():
-        return functools.partial(np.take, indices=cols, axis=0)
+        return functools.partial(_gathered_rows, cols)
     x = a.shape[1]
     if a.shape[0] == x:
         # a block must be wider than the farthest nonzero is from the diagonal

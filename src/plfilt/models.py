@@ -203,7 +203,7 @@ def stacked_bearings_batch(positions: np.ndarray, n_agents: int) -> np.ndarray:
     m = z.shape[1]
     px, py, pz = z.reshape(n_agents, 3, m).transpose(1, 0, 2)  # each (N, m)
     horiz = np.hypot(px, py)
-    if np.any(np.hypot(horiz, pz) < MIN_RANGE):
+    if (np.hypot(horiz, pz) < MIN_RANGE).any():
         raise SingularGeometryError("a point is at the base station; bearings undefined")
     out = np.empty((n_agents, 2, m))
     np.arctan2(py, px, out=out[:, 0])

@@ -120,15 +120,12 @@ class PartiallyLinearFunction:
         a.flags.writeable = False
         self.a = a
         self.a1 = a1
+        self.y_dim = self.g_dim + a.shape[0]
         # M -> [A1; A] @ M, and the number of leading A1 rows folded onto g
         self._apply = _linear_form(a if a1 is None else np.vstack((a1, a)))
         self._n1 = 0 if a1 is None else self.g_dim
         self._g = g
         self.g_eval_count = 0
-
-    @property
-    def y_dim(self) -> int:
-        return self.g_dim + self.a.shape[0]
 
     def reset_g_eval_count(self):
         self.g_eval_count = 0

@@ -366,6 +366,21 @@ class TestStructuredEquivalence:
             assert (err.value.step, err.value.phase) == (3, "predict")
             assert isinstance(err.value.__cause__, NotPositiveDefiniteError)
 
+    def test_failed_update_is_update(self, rng, monkeypatch):
+        x_dim, y_dim = 4, 2
+        model, *_ = linear_model(rng, x_dim, y_dim)
+        state = FilterState(k=4, mean=np.zeros(x_dim), cov=np.eye(x_dim))
+
+        def degenerate(joint, y):
+            raise InnovationDegenerateError("innovation covariance not positive definite")
+
+        monkeypatch.setattr("plfilt.filters.kalman_update", degenerate)
+        for step_fn in (lrkf_step, pl_lrkf_step):
+            with pytest.raises(FilterStepError) as err:
+                step_fn(state, model, np.zeros(y_dim))
+            assert (err.value.step, err.value.phase) == (5, "update")
+            assert isinstance(err.value.__cause__, InnovationDegenerateError)
+
     def test_sigma_point_at_base_station(self):
         # zero position, velocity and acceleration: pl evaluates the bearings
         # at the predicted z-mean, the origin; full has sigma points along the

@@ -22,6 +22,7 @@ from plfilt import (
     cholesky_partial,
     unscented_rule,
 )
+from plfilt.linalg import _gathered_rows
 from conftest import random_spd
 
 RULES = {
@@ -177,7 +178,7 @@ class TestPartiallyLinearFunction:
 def _form(plf):
     """Which exact form ``plf`` applies its linear rows ``[A1; A]`` in."""
     func = plf._apply.func
-    return {np.take: "gather", np.matmul: "dense"}.get(func, func.__name__)
+    return {_gathered_rows: "gather", np.matmul: "dense"}.get(func, func.__name__)
 
 
 def _sin_plf(a, z=2):

@@ -11,20 +11,20 @@ perfpairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(perfpairs)
 
 
-def _line(failed=0, **values):
+def _line(failed=0, attempted=100, **values):
     metrics = {
         name.replace("__", "."): {"value": value, "unit": "ms"} for name, value in values.items()
     }
     return json.dumps(
-        {"correct": failed == 0, "attempted": 100, "failed": failed, "metrics": metrics}
+        {"correct": failed == 0, "attempted": attempted, "failed": failed, "metrics": metrics}
     )
 
 
-def _pairs(base, change, name="full__op_ms__p50"):
+def _pairs(base, change, name="full__op_ms__p50", failed=(0, 0)):
     return [
         {
-            "base": perfpairs.parse_result(_line(**{name: b})),
-            "change": perfpairs.parse_result(_line(**{name: c})),
+            "base": perfpairs.parse_result(_line(failed[0], **{name: b})),
+            "change": perfpairs.parse_result(_line(failed[1], **{name: c})),
         }
         for b, c in zip(base, change)
     ]
@@ -33,6 +33,7 @@ def _pairs(base, change, name="full__op_ms__p50"):
 def test_parse_result():
     line = _line(failed=2, full__op_ms__p50=1.5, pl__models__g_ms=None)
     assert perfpairs.parse_result(line) == {
+        "attempted": 100,
         "failed": 2,
         "metrics": {"full.op_ms.p50": 1.5, "pl.models.g_ms": None},
     }
@@ -105,7 +106,7 @@ def test_main_prints_unmeasured_metrics(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == (
         "pair 1 (base first): full.op_ms.p50 2 -> 1; pl.op_ms.p50 1 -> unmeasured; "
-        "setup_s 0.5 -> unmeasured; failed 0 -> 0"
+        "setup_s 0.5 -> unmeasured; failed 0 -> 0; quiet windows no report -> no report"
     )
     assert out[1].startswith("pair 2 (change first): ")
     assert [line.split()[0] for line in out[3:]] == ["full.op_ms.p50"] + [
@@ -236,3 +237,68 @@ def test_better_directions_read_from_benchmark_file(tmp_path):
         "pl.models.g_ms": "lower",
     }
     assert perfpairs.regression_bounds(tmp_path) == {"full.ops_per_s": 0.25}
+
+
+@pytest.mark.parametrize(
+    "failed, claim",
+    [
+        ((0, 0), True),
+        ((3, 3), True),  # the same share on both sides
+        ((3, 1), True),  # fewer failures on the change
+        ((0, 1), False),  # a larger share fails on the change
+    ],
+)
+def test_claim_needs_no_larger_failed_share(failed, claim):
+    pairs = _pairs(BASE, [6.8] * 10, failed=failed)
+    assert perfpairs.failed_share(pairs, "base") == failed[0] / 100
+    (row,) = perfpairs.summarize(pairs, {"full.op_ms.p50": "lower"})
+    assert row["wins"] == 10 and row["claim"] is claim
+
+
+def test_failed_share_weighs_by_attempted():
+    def line(failed, attempted):
+        return perfpairs.parse_result(_line(failed, attempted, full__op_ms__p50=1.0))
+
+    pairs = [
+        {"base": line(1, 100), "change": line(0, 50)},
+        {"base": line(0, 300), "change": line(1, 50)},
+    ]
+    assert perfpairs.failed_share(pairs, "base") == 1 / 400
+    assert perfpairs.failed_share(pairs, "change") == 1 / 100
+
+
+def _report(checkout, workload, seed, **fields):
+    out = checkout / "perfbench" / "out"
+    out.mkdir(parents=True, exist_ok=True)
+    report = {"workload": workload, "seed": seed, "trace": 0, **fields}
+    (out / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(report))
+
+
+def test_window_counts_read_from_saved_report(tmp_path):
+    assert perfpairs.window_counts(tmp_path, "track-3", 1) is None
+    _report(tmp_path, "track-3", 1, quiet_windows=176, windows=200)
+    assert perfpairs.window_counts(tmp_path, "track-3", 1) == (176, 200)
+    assert perfpairs.window_counts(tmp_path, "track-3", 7) is None  # another seed
+    _report(tmp_path, "track-30", 1, windows=12)
+    assert perfpairs.window_counts(tmp_path, "track-30", 1) is None
+
+
+def test_main_prints_quiet_windows_and_failed_share(tmp_path, monkeypatch, capsys):
+    """Each pair line shows each run's quiet/total windows from the report
+    that run saved, and the summary header each side's failed share."""
+    counts = {"base": [(16, 1190), (170, 200)], "change": [(180, 200), (175, 200)]}
+    lines = {"base": [_line(1, full__op_ms__p50=2.0)] * 2, "change": [_line(full__op_ms__p50=1.0)] * 2}
+
+    def run_side(checkout, workload, seed, seconds):
+        quiet, windows = counts[checkout.name].pop(0)
+        _report(checkout, workload, seed, quiet_windows=quiet, windows=windows)
+        return lines[checkout.name].pop(0)
+
+    monkeypatch.setattr(perfpairs, "run_side", run_side)
+    args = [str(tmp_path / "base"), str(tmp_path / "change"), "--workload", "track-3"]
+    assert perfpairs.main([*args, "--seconds", "1", "--pairs", "2", "--seed", "5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith("; failed 1 -> 0; quiet windows 16/1190 -> 180/200")
+    assert out[1].startswith("pair 2 (change first): ")
+    assert out[1].endswith("; failed 1 -> 0; quiet windows 170/200 -> 175/200")
+    assert out[2].endswith("; failed share 0.01 -> 0")

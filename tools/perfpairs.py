@@ -10,7 +10,11 @@ alternates from pair to pair, so a drift of the host hits both alike.  Every
 run's settings are those ``run.py`` pins itself; this script sets nothing.
 
 Each run's last line of standard output is perfbench's result line.  The
-script prints every pair as it completes, then one line per metric: the
+script prints every pair as it completes, with each run's quiet and total
+windows from the report it saved under
+``<checkout>/perfbench/out/<workload>-seed<seed>-trace0.json``, so a run
+that fell in a slow state of the host shows.  It then prints each side's
+share of failed operations over its runs, and one line per metric: the
 median and the quartiles of each side, the number of pairs the change
 won, whether a gain may be claimed, and, for a metric with a regression
 bound, whether the change's median is worse than the base's by more than
@@ -20,10 +24,12 @@ when neither side measured both in every run, which the lines on
 unmeasured metrics already say.  A metric's better direction and bound
 are read from the change's ``BENCHMARK.json`` (lower is better for a
 metric it does not list).  A gain may be claimed when the change wins at
-least nine tenths of the pairs, ties counting for neither, and its median
-is better than the base's by more than the distance between the base's
-quartiles.  A bound is a share of the base's median.  A metric that is unmeasured (``null``) in any
-run gets no summary; a line names the side and the number of pairs instead.
+least nine tenths of the pairs, ties counting for neither, its median is
+better than the base's by more than the distance between the base's
+quartiles, and its share of failed operations is no larger than the
+base's.  A bound is a share of the base's median.  A metric that is
+unmeasured (``null``) in any run gets no summary; a line names the side
+and the number of pairs instead.
 """
 from __future__ import annotations
 
@@ -38,13 +44,33 @@ SIDES = ("base", "change")
 
 
 def parse_result(line: str) -> dict:
-    """perfbench's result line as ``{"failed": int, "metrics": {name: value}}``;
-    an unmeasured metric has the value ``None``."""
+    """perfbench's result line as ``{"attempted": int, "failed": int,
+    "metrics": {name: value}}``; an unmeasured metric has the value
+    ``None``."""
     result = json.loads(line)
     return {
+        "attempted": int(result["attempted"]),
         "failed": int(result["failed"]),
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
+
+
+def failed_share(pairs: list[dict], side: str) -> float:
+    """The share of ``side``'s operations that failed, over all its runs."""
+    attempted = sum(pair[side]["attempted"] for pair in pairs)
+    return sum(pair[side]["failed"] for pair in pairs) / attempted if attempted else 0.0
+
+
+def window_counts(checkout: Path, workload: str, seed: int) -> tuple[int, int] | None:
+    """``(quiet_windows, windows)`` from the report the last untraced run of
+    ``workload`` and ``seed`` saved in ``checkout``; ``None`` when there is
+    no such report or it lacks either count."""
+    path = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    try:
+        report = json.loads(path.read_text(encoding="utf-8"))
+        return int(report["quiet_windows"]), int(report["windows"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -65,11 +91,13 @@ def summarize(
     :func:`parse_result` returns them; ``better`` maps a metric to
     ``"lower"`` or ``"higher"`` and ``bounds`` to its regression bound.  A
     pair is won when the change's value is strictly better than the base's.
-    ``claim`` tells whether a gain may be claimed; ``regressed`` whether the
-    change's median is worse than the base's by more than the bound, and is
-    ``None`` for a metric without one.
+    ``claim`` tells whether a gain may be claimed, which needs the change's
+    share of failed operations to be no larger than the base's;
+    ``regressed`` whether the change's median is worse than the base's by
+    more than the bound, and is ``None`` for a metric without one.
     """
     bounds = bounds or {}
+    no_more_failures = failed_share(pairs, "change") <= failed_share(pairs, "base")
     rows = []
     names = pairs[0]["base"]["metrics"] if pairs else {}
     for name in names:
@@ -94,7 +122,7 @@ def summarize(
                 "change": change,
                 "wins": wins,
                 "pairs": len(pairs),
-                "claim": 10 * wins >= 9 * len(pairs) and gain > b3 - b1,
+                "claim": no_more_failures and 10 * wins >= 9 * len(pairs) and gain > b3 - b1,
                 "bound": bound,
                 "regressed": None if bound is None else -gain > bound * abs(b2),
             }
@@ -171,6 +199,10 @@ def regression_bounds(checkout: Path) -> dict[str, float]:
     }
 
 
+def _windows_cell(counts: tuple[int, int] | None) -> str:
+    return "no report" if counts is None else f"{counts[0]}/{counts[1]}"
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> str:
     """One untraced perfbench run of ``checkout``; returns its result line."""
     cmd = [
@@ -210,9 +242,11 @@ def main(argv=None) -> int:
     pairs = []
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {}
+        pair, windows = {}, {}
         for side in order:
             pair[side] = parse_result(run_side(checkouts[side], args.workload, args.seed, args.seconds))
+            # read before the other side runs, in case both name one checkout
+            windows[side] = window_counts(checkouts[side], args.workload, args.seed)
         pairs.append(pair)
         cells = [
             f"{name} {_cell(pair['base']['metrics'].get(name))} -> "
@@ -220,9 +254,11 @@ def main(argv=None) -> int:
             for name in ("full.op_ms.p50", "pl.op_ms.p50", "setup_s")
         ]
         failed = f"failed {pair['base']['failed']} -> {pair['change']['failed']}"
-        print(f"pair {i + 1} ({order[0]} first): {'; '.join(cells)}; {failed}", flush=True)
+        quiet = f"quiet windows {_windows_cell(windows['base'])} -> {_windows_cell(windows['change'])}"
+        print(f"pair {i + 1} ({order[0]} first): {'; '.join(cells)}; {failed}; {quiet}", flush=True)
+    shares = [failed_share(pairs, side) for side in SIDES]
     print(f"{args.workload}, {args.pairs} pairs of {args.seconds:g} s, seed {args.seed}: "
-          "median [quartiles] base -> change")
+          f"median [quartiles] base -> change; failed share {shares[0]:.6g} -> {shares[1]:.6g}")
     for row in summarize(pairs, better, bounds):
         print(format_row(row))
     for line in unmeasured(pairs):
