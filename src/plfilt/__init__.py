@@ -41,7 +41,6 @@ from .filters import (
 )
 from .linalg import (
     PartialCholesky,
-    Permutation,
     cholesky_full,
     cholesky_partial,
     permute_moments,
@@ -83,7 +82,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "PartialCholesky",
     "PartiallyLinearFunction",
-    "Permutation",
     "PlfiltError",
     "PointBudgetExceededError",
     "RuleKind",

@@ -123,6 +123,8 @@ def _parse_dims(text: str):
         if not part:
             continue
         z_txt, _, l_txt = part.partition("x")
+        if not (z_txt.isdecimal() and l_txt.isdecimal()):
+            raise ValueError(f"dims entry {part!r} is not of the form ZxL")
         z, l = int(z_txt), int(l_txt)
         if z < 1 or l < 1:
             raise ValueError(f"dims entries must be positive, got {part!r}")
@@ -449,14 +451,18 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     config_from, run, unit = _COMMANDS[args.command]
     overrides = {  # config values are text; the repeated --dims join to "ZxL,ZxL"
         key: ",".join(value) if isinstance(value, list) else str(value)
         for key, value in vars(args).items()
         if key in DEFAULTS and value is not None
     }
-    settings = config_from(merged_config(args.config, overrides))
+    try:
+        settings = config_from(merged_config(args.config, overrides))
+    except (OSError, ValueError) as exc:  # a bad setting, not a failed run
+        parser.error(str(exc))
     started = time.perf_counter()
     comments, header, rows = run(settings)
     if args.out:

@@ -22,7 +22,6 @@ from .errors import (
     PlfiltError,
 )
 from .linalg import (
-    Permutation,
     _check_square,
     _check_symmetric,
     cholesky_full,
@@ -46,13 +45,15 @@ class EstimationModel:
 
     The state's order is chosen so the flow's nonlinear coordinates lead:
     ``flow`` maps the state to the next state in those same coordinates.
-    Only the measurement is stored permuted: ``meas_perm`` gathers the state
-    so its nonlinear coordinates lead, and ``measurement`` maps that permuted
-    state to measurement space; both filters match it on the permuted
-    predicted moments.  ``q`` and ``r`` are the additive noise covariances in
-    state and measurement coordinates; each is checked positive definite and
-    stored exactly symmetric (``(q + qᵀ) / 2``), so every covariance a step
-    builds from them is exactly symmetric too.
+    Only the measurement is stored permuted: ``meas_perm``, an integer
+    array holding each of ``0..X-1`` once, gathers the state so the
+    measurement's nonlinear coordinates lead, and ``measurement`` maps that
+    gathered state to measurement space; both filters match it on the
+    gathered predicted moments.  The order is kept as a read-only ``intp``
+    copy.  ``q`` and ``r`` are the additive noise covariances in state and
+    measurement coordinates; each is checked positive definite and stored
+    exactly symmetric (``(q + qᵀ) / 2``), so every covariance a step builds
+    from them is exactly symmetric too.
     """
 
     flow: PartiallyLinearFunction
@@ -60,7 +61,7 @@ class EstimationModel:
     flow_rule: ClassifiedRule
     measurement: PartiallyLinearFunction
     r: np.ndarray
-    meas_perm: Permutation
+    meas_perm: np.ndarray
     meas_rule: ClassifiedRule
 
     def __post_init__(self):
@@ -74,8 +75,10 @@ class EstimationModel:
             raise ValueError("measurement input dimension does not match the state")
         if q.shape != (x, x) or r.shape != (y, y):
             raise ValueError("noise covariance shapes do not match the model")
-        if self.meas_perm.size != x:
-            raise ValueError("permutation size does not match the state dimension")
+        order = np.asarray(self.meas_perm)  # not cast: 0.2 or True is no index
+        valid = order.dtype.kind in "iu" and order.shape == (x,)
+        if not (valid and np.array_equal(np.sort(order), np.arange(x))):
+            raise ValueError(f"meas_perm must be an integer array holding each of 0..{x - 1} once")
         for rule, plf, tag in (
             (self.flow_rule, self.flow, "flow"),
             (self.meas_rule, self.measurement, "measurement"),
@@ -86,6 +89,10 @@ class EstimationModel:
         cholesky_full(r)
         object.__setattr__(self, "q", 0.5 * (q + q.T))
         object.__setattr__(self, "r", 0.5 * (r + r.T))
+        order = order.astype(np.intp)  # a copy that no caller holds
+        order.flags.writeable = False
+        object.__setattr__(self, "meas_perm", order)
+        object.__setattr__(self, "_meas_inverse", np.argsort(order))  # back to state order
 
     @property
     def x_dim(self) -> int:
@@ -176,56 +183,47 @@ def kalman_update(joint: JointGaussian, y: np.ndarray) -> GaussianMoments:
     return GaussianMoments(mean=mean, cov=mirror_lower(cov_t.T))
 
 
-def _predict_materialized(f, m: np.ndarray, p: np.ndarray, cr: ClassifiedRule):
-    return _plain_sums(f, m, p, cr.base)[:2]
-
-
-def _predict_structured(f, m: np.ndarray, p: np.ndarray, cr: ClassifiedRule):
-    return _structured_sums(f, m, p, cr)[:2]
-
-
-def _match_materialized(f, m: np.ndarray, p: np.ndarray, cr: ClassifiedRule) -> JointGaussian:
-    return match_full(f, m, p, cr.base)
-
-
 def _step(
     state: FilterState,
     model: EstimationModel,
     y: np.ndarray,
     keep_prediction: bool,
-    predict,
+    sums,
     match,
+    flow_rule,
+    meas_rule,
 ) -> FilterState:
-    """The predict/update cycle both filters share.  ``predict(f, m, p, cr)``
-    returns the mean and covariance of the flow's output, which is all a
-    step reads of the flow; ``match(f, m, p, cr)`` matches the measurement
-    jointly with the state.  Both run on a classified rule, and both return
-    a fresh, exactly symmetric output covariance, onto which the step adds
-    the model's noise in place; the model's noise is stored exactly
-    symmetric, so the predicted, permuted and innovation covariances are
-    exactly symmetric as built.  ``state.cov`` is the one covariance a step
-    does not build, so it is checked on entry (finite, and symmetric within
+    """The predict/update cycle both filters share.  The leading two results
+    of ``sums(f, m, p, flow_rule)`` are the mean and covariance of the
+    flow's output, all a step reads of the flow; ``match(f, m, p,
+    meas_rule)`` matches the measurement jointly with the state gathered by
+    ``model.meas_perm``.  Both return a fresh, exactly symmetric output
+    covariance, onto which the step adds the model's noise in place; the
+    model's noise is stored exactly symmetric, so the predicted, gathered
+    and innovation covariances are exactly symmetric as built.
+    ``state.cov`` is the one covariance a step does not build, so it is
+    checked on entry (finite, and symmetric within
     :data:`~plfilt.linalg.SYMMETRY_RTOL`), before either matcher reads a
     part of it.  Input within the tolerance whose triangles differ is
     stepped on with its lower triangle mirrored, the triangle the
     factorizations read, so the structured flow's ``A P`` reads the same
     matrix too.  A library error raised past that check surfaces as a
     :class:`FilterStepError` with the step index and the phase the one
-    ``try`` was in: ``predict`` through the permutation, ``measure``
-    through the joint, ``update`` through the posterior check."""
+    ``try`` was in: ``predict`` through the gather, ``measure`` through the
+    joint, ``update`` through the posterior check."""
     cov = _check_square(state.cov)
     if not _check_symmetric(cov, cov.T):
         cov = mirror_lower(cov)
     k_next = state.k + 1
     phase = "predict"
     try:
-        m_pred, p_pred = predict(model.flow, state.mean, cov, model.flow_rule)
+        m_pred, p_pred = sums(model.flow, state.mean, cov, flow_rule)[:2]
         p_pred += model.q
         m_bar, p_bar = permute_moments(model.meas_perm, m_pred, p_pred)
         phase = "measure"
-        jm = match(model.measurement, m_bar, p_bar, model.meas_rule)
+        jm = match(model.measurement, m_bar, p_bar, meas_rule)
         # only the cross covariance's rows go back to state coordinates
-        p_xy = jm.p_xy.take(model.meas_perm.inverse.indices, axis=0)
+        p_xy = jm.p_xy.take(model._meas_inverse, axis=0)
         p_yy = jm.p_yy
         p_yy += model.r
         joint = JointGaussian(m_x=m_pred, m_y=jm.m_y, p_xx=p_pred, p_xy=p_xy, p_yy=p_yy)
@@ -251,13 +249,14 @@ def lrkf_step(
     sums; the model functions are evaluated at every point of the
     materialized rules.  The flow's sums stop at its output covariance,
     since the step never reads the flow's cross covariance.  The
-    measurement is matched in the same permuted coordinates as in
+    measurement is matched in the same gathered coordinates as in
     :func:`pl_lrkf_step`, so both filters use the same sigma points and
     agree up to roundoff.
     """
-    if model.flow_rule.base is None or model.meas_rule.base is None:
+    flow_rule, meas_rule = model.flow_rule.base, model.meas_rule.base
+    if flow_rule is None or meas_rule is None:
         raise ValueError("the unstructured filter path needs materialized rules")
-    return _step(state, model, y, keep_prediction, _predict_materialized, _match_materialized)
+    return _step(state, model, y, keep_prediction, _plain_sums, match_full, flow_rule, meas_rule)
 
 
 def pl_lrkf_step(
@@ -269,13 +268,16 @@ def pl_lrkf_step(
     """One predict/update cycle of the structured filter.
 
     The flow is matched in state coordinates, where its nonlinear
-    coordinates already lead.  The predicted moments are then permuted so
+    coordinates already lead.  The predicted moments are then gathered so
     the measurement's nonlinear coordinates lead, and the measurement is
     matched there; only the rows of the matched cross covariance are
-    permuted back, and the conditioning step runs in state coordinates.
+    gathered back, and the conditioning step runs in state coordinates.
     Each match factorizes only the leading columns of its covariance.  This
     is the same cycle as :func:`lrkf_step` on the same sigma points, so the
     two agree up to roundoff while this one evaluates only the nonlinear
     blocks of the model functions.
     """
-    return _step(state, model, y, keep_prediction, _predict_structured, match_pl)
+    return _step(
+        state, model, y, keep_prediction, _structured_sums, match_pl,
+        model.flow_rule, model.meas_rule,
+    )

@@ -1,7 +1,8 @@
 """Dense symmetric-matrix utilities: full and partial Cholesky factors from
-LAPACK, the lower-to-upper triangle mirror, index-vector permutations, the
-cheapest form of a product with a constant matrix, and the weighted
-symmetric product ``D diag(w) Dᵀ`` as a rank-k update.
+LAPACK, the lower-to-upper triangle mirror, the reordering of Gaussian
+moments by a gather order, the cheapest form of a product with a constant
+matrix, and the weighted symmetric product ``D diag(w) Dᵀ`` as a rank-k
+update.
 
 A matrix handed to a factorization is checked (finite, and symmetric within
 :data:`SYMMETRY_RTOL`), then its lower triangle is factored as given: no
@@ -12,16 +13,15 @@ finiteness test (which :func:`cholesky_full` reads off the factor's trace),
 with no float temporaries.  Only other input pays for the tolerance
 arithmetic, which accepts or refuses it as it would without the fast path.
 
-Permutations are deliberately kept as index vectors and applied as gathers;
-building dense permutation matrices here would defeat their purpose (a
-reindexing should cost next to nothing).
+A reordering is a plain integer index array applied as a gather; a dense
+permutation matrix would turn a reindexing that should cost next to nothing
+into a product.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -165,50 +165,14 @@ def cholesky_partial(p: np.ndarray, z: int) -> PartialCholesky:
     return PartialCholesky(_cols=cols)
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on ``{0..n-1}`` stored as a gather index vector.
-
-    Applying the permutation to a vector ``x`` yields ``x[indices]``.
-    """
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.intp).copy()
-        if idx.ndim != 1:
-            raise ValueError("permutation indices must be one-dimensional")
-        n = idx.size
-        seen = np.zeros(n, dtype=bool)
-        if n and (idx.min() < 0 or idx.max() >= n):
-            raise ValueError("permutation indices out of range")
-        seen[idx] = True
-        if not seen.all():
-            raise ValueError("indices do not form a permutation")
-        idx.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def size(self) -> int:
-        return self.indices.size
-
-    @cached_property
-    def inverse(self) -> "Permutation":
-        """The inverse permutation, built and validated on first use."""
-        inv = np.empty(self.indices.size, dtype=np.intp)
-        inv[self.indices] = np.arange(self.indices.size, dtype=np.intp)
-        return Permutation(inv)
-
-
-def permute_moments(perm: Permutation, m: np.ndarray, p: np.ndarray):
-    """Reorder a mean vector and covariance by ``perm`` (rows and columns)."""
+def permute_moments(idx: np.ndarray, m: np.ndarray, p: np.ndarray):
+    """``m[idx]`` and ``p[idx][:, idx]`` for a gather order ``idx``, which
+    its owner has checked (see :class:`~plfilt.filters.EstimationModel`)."""
     m = np.asarray(m, dtype=float)
     p = np.asarray(p, dtype=float)
-    idx = perm.indices
-    if m.shape != (idx.size,) or p.shape != (idx.size, idx.size):
-        raise ValueError(
-            f"moment shapes {m.shape}/{p.shape} do not match permutation of size {idx.size}"
-        )
+    n = len(idx)
+    if m.shape != (n,) or p.shape != (n, n):
+        raise ValueError(f"moment shapes {m.shape}/{p.shape} do not match an order of length {n}")
     return m[idx], p[idx][:, idx]
 
 

@@ -14,7 +14,6 @@ import numpy as np
 from .cubature import classify, spherical_rule
 from .errors import SingularGeometryError
 from .filters import EstimationModel
-from .linalg import Permutation
 from .moments import PartiallyLinearFunction
 
 # ---------------------------------------------------------------------------
@@ -233,12 +232,12 @@ class BearingSensorParams:
         object.__setattr__(self, "reported_cov", cov)
 
 
-def position_front_permutation(n_agents: int) -> Permutation:
-    """Gather order moving all agent positions to the front of the state,
-    followed by each agent's velocity/acceleration block."""
+def position_front_permutation(n_agents: int) -> np.ndarray:
+    """Gather order (an ``intp`` array) moving all agent positions to the front
+    of the state, followed by each agent's velocity/acceleration block."""
     front = [9 * i + j for i in range(n_agents) for j in range(3)]
     back = [9 * i + j for i in range(n_agents) for j in range(3, 9)]
-    return Permutation(np.array(front + back, dtype=np.intp))
+    return np.array(front + back, dtype=np.intp)
 
 
 def fusion_model(singer: SingerParams, sensor: BearingSensorParams) -> EstimationModel:
@@ -254,7 +253,8 @@ def fusion_model(singer: SingerParams, sensor: BearingSensorParams) -> Estimatio
     column-wise, as :class:`PartiallyLinearFunction` requires.  The linear
     blocks are passed as dense matrices, and the function applies each in
     its cheapest exact form: the flow's ``kron(I_N, A_agent)`` rows as 9x9
-    diagonal blocks, the measurement's ``unscramble`` as a row gather.
+    diagonal blocks, the measurement's ``unscramble`` (the identity's
+    columns in ``meas_perm`` order, which return the state) as a row gather.
     """
     n = singer.agents
     x_dim = 9 * n
@@ -270,8 +270,8 @@ def fusion_model(singer: SingerParams, sensor: BearingSensorParams) -> Estimatio
         z_dim=1, x_dim=x_dim, g=lambda z: a11 * z, g_dim=1, a=a_full[1:], a1=a1
     )
 
-    t_h = position_front_permutation(n)
-    unscramble = np.eye(x_dim)[t_h.inverse.indices]  # maps permuted state back
+    order = position_front_permutation(n)
+    unscramble = np.eye(x_dim)[:, order]  # maps the gathered state back
     measurement = PartiallyLinearFunction(
         z_dim=3 * n,
         x_dim=x_dim,
@@ -294,7 +294,7 @@ def fusion_model(singer: SingerParams, sensor: BearingSensorParams) -> Estimatio
         flow_rule=classify(rule, 1),
         measurement=measurement,
         r=r,
-        meas_perm=t_h,
+        meas_perm=order,
         meas_rule=classify(rule, 3 * n),
     )
 
@@ -386,7 +386,7 @@ def simulate_tracking(
     l_rep = np.linalg.cholesky(sensor.reported_cov)
     y_dim = 2 * n + x_dim
     measurements = np.empty((steps, y_dim))
-    pos_idx = position_front_permutation(n).indices[: 3 * n]
+    pos_idx = position_front_permutation(n)[: 3 * n]
     for k in range(steps):
         x = truth[k + 1]
         angles = stacked_bearings(x[pos_idx], n)

@@ -12,8 +12,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-import harness  # noqa: E402
 import tracing  # noqa: E402
+from test_perfbench import traced_layer_metrics  # noqa: E402
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
@@ -25,24 +25,9 @@ def test_every_role_resolves_a_target():
 
 @pytest.mark.parametrize("name", [w["name"] for w in SPEC["workloads"]])
 def test_traced_slice_measures_every_listed_metric(name):
-    # the calls of perfbench/test_perfbench.py's traced_layer_metrics: one
-    # untraced and one traced slice on a small input pool
-    w = harness.WORKLOADS[name]
-    if isinstance(w, harness.MatchWorkload):
-        workload = harness.MatchWorkload(w.z, w.l, w.order, pool=4)
-    else:
-        workload = harness.TrackingWorkload(w.agents, episodes=1)
-    inputs = workload.make_inputs(1)
-    session, _ = harness.setup_once(workload, inputs)
-    untraced = harness.run_slice(session, 0.01)
-    rec = tracing.Recorder()
-    with tracing.installed(rec) as unmeasured:
-        harness.setup_once(workload, inputs, rec)
-        traced = harness.run_slice(session, 0.01, rec, workload.root_role)
-    assert untraced.failed == traced.failed == 0
-    values = harness.layer_metrics(rec, unmeasured, [untraced, traced])
+    values = traced_layer_metrics(name, 1)
     missing = [m["name"] for m in SPEC["per_layer"] if values.get(m["name"]) is None]
-    assert (sorted(unmeasured), missing) == ([], [])
+    assert missing == []
     # a wrapped name that the step no longer calls reads 0, not None
     times = [m["name"] for m in SPEC["per_layer"] if m["unit"] in ("ms", "s")]
     idle = [name for name in times if values[name] <= 0]

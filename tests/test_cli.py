@@ -333,3 +333,27 @@ class TestMain:
         captured = capsys.readouterr()
         header, rows = parse_csv(captured.out)
         assert header[0] == "k" and len(rows) == 3
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sim", "--agents", "0"], "agent count must be >= 1, got 0"),
+            (["sim", "--steps", "0"], "step count must be >= 1, got 0"),
+            (["bench", "--trials", "0"], "trial count must be >= 1, got 0"),
+            (["bench", "--dims", "3x"], "dims entry '3x' is not of the form ZxL"),
+            (["bench", "--dims", "2x3", "--dims", "4"], "dims entry '4' is not of the form ZxL"),
+            (["bench", "--config", "bad.cfg"], "bad.cfg:1: expected 'key = value', got 'trials\\n'"),
+            (["sim", "--config", "missing.cfg"], "No such file or directory: 'missing.cfg'"),
+        ],
+        ids=["agents", "steps", "trials", "dims-3x", "dims-4", "config-line", "config-missing"],
+    )
+    def test_bad_setting_is_a_usage_error(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.cfg").write_text("trials\n")
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("plfilt: error: ") and last.endswith(message)

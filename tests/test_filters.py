@@ -1,4 +1,6 @@
 """Filter recursions: conditioning update, plain and structured steps."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from plfilt import (
     JointGaussian,
     NotPositiveDefiniteError,
     PartiallyLinearFunction,
-    Permutation,
     SingerParams,
     SingularGeometryError,
     benchmark_function,
@@ -25,7 +26,6 @@ from plfilt import (
     spherical_rule,
     unscented_rule,
 )
-from plfilt.filters import _predict_structured
 from plfilt.linalg import mirror_lower
 from plfilt.moments import _structured_sums
 from conftest import random_spd
@@ -65,14 +65,15 @@ def linear_model(rng, x_dim, y_dim, rule_builder=spherical_rule, rotated_meas=Fa
     q = random_spd(rng, x_dim, shift=1.0) * 0.1
     r = random_spd(rng, y_dim, shift=1.0) * 0.1
     order = np.arange(x_dim)
-    perm = Permutation(np.roll(order, 1) if rotated_meas else order)
+    if rotated_meas:
+        order = np.roll(order, 1)
     model = EstimationModel(
         flow=linear_stub(a),
         q=q,
         flow_rule=classify(rule_builder(x_dim), 1),
-        measurement=linear_stub(c[:, perm.indices]),
+        measurement=linear_stub(c[:, order]),
         r=r,
-        meas_perm=perm,
+        meas_perm=order,
         meas_rule=classify(rule_builder(x_dim), 1),
     )
     return model, a, c, q, r
@@ -241,7 +242,7 @@ class TestStructuredEquivalence:
         rule = unscented_rule(x_dim, 1.0, 2.0)
         model = EstimationModel(
             flow=flow, q=0.05 * np.eye(x_dim), flow_rule=classify(rule, x_dim),
-            measurement=meas, r=0.1 * np.eye(y_dim), meas_perm=Permutation(np.arange(x_dim)),
+            measurement=meas, r=0.1 * np.eye(y_dim), meas_perm=np.arange(x_dim),
             meas_rule=classify(rule, x_dim),
         )
         sa = sb = FilterState(k=0, mean=rng.standard_normal(x_dim), cov=np.eye(x_dim))
@@ -291,7 +292,7 @@ class TestStructuredEquivalence:
                 a1 = rng.standard_normal((3, 10))
                 f = PartiallyLinearFunction(3, 10, f._g, 3, f.a, a1=a1)
         m, p = rng.standard_normal(cr.dim), random_spd(rng, cr.dim)
-        m_y, p_yy = _predict_structured(f, m, p, cr)
+        m_y, p_yy = _structured_sums(f, m, p, cr)[:2]
         joint = match_pl(f, m, p, cr)
         assert np.array_equal(m_y, joint.m_y) and np.array_equal(p_yy, joint.p_yy)
 
@@ -500,7 +501,7 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             EstimationModel(
                 flow=flow, q=np.eye(3), flow_rule=rule, measurement=meas, r=np.eye(2),
-                meas_perm=Permutation(np.arange(x_dim)), meas_rule=rule,
+                meas_perm=np.arange(x_dim), meas_rule=rule,
             )
 
     def test_rejects_non_spd_noise(self, rng):
@@ -511,7 +512,7 @@ class TestModelValidation:
         with pytest.raises(Exception):
             EstimationModel(
                 flow=flow, q=-np.eye(x_dim), flow_rule=rule, measurement=meas, r=np.eye(2),
-                meas_perm=Permutation(np.arange(x_dim)), meas_rule=rule,
+                meas_perm=np.arange(x_dim), meas_rule=rule,
             )
 
     def test_noise_stored_exactly_symmetric(self, rng):
@@ -530,3 +531,41 @@ class TestModelValidation:
         for given, stored in ((q, rebuilt.q), (r, rebuilt.r)):
             assert np.array_equal(stored, stored.T)
             assert np.array_equal(stored, 0.5 * (given + given.T))
+
+    def test_invalid_indices(self, rng):
+        model, *_ = linear_model(rng, 3, 2)
+        with pytest.raises(ValueError, match="each of 0..2 once"):
+            dataclasses.replace(model, meas_perm=np.array([0, 0, 1]))
+        with pytest.raises(ValueError, match="each of 0..2 once"):
+            dataclasses.replace(model, meas_perm=np.array([0, 2, 3]))
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            np.array([1.9, 0.2]),  # a cast to intp would read [1, 0]
+            np.array([1.0, 0.0]),
+            np.array([True, False]),
+            np.array([1, 1]),
+            np.array([0, 2]),
+            np.array([1, -2]),  # a gather would wrap -2 to 0
+            np.array([0, 1, 2]),
+            np.array([[1, 0]]),
+            np.array([], dtype=np.intp),
+        ],
+        ids=["float", "integral-float", "bool", "repeated", "out-of-range", "negative",
+             "too-long", "2-D", "empty"],
+    )
+    def test_rejects_a_bad_order(self, rng, order):
+        model, *_ = linear_model(rng, 2, 1)
+        with pytest.raises(ValueError, match="meas_perm"):
+            dataclasses.replace(model, meas_perm=order)
+
+    def test_keeps_a_read_only_copy_of_the_order(self, rng):
+        model, *_ = linear_model(rng, 3, 2)
+        order = np.array([2, 0, 1], dtype=np.int32)
+        kept = dataclasses.replace(model, meas_perm=order).meas_perm
+        order[0] = 0  # the caller's array stays writable and apart
+        assert kept.dtype == np.intp and kept.tolist() == [2, 0, 1]
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError):
+            kept[0] = 1

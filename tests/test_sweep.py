@@ -10,7 +10,6 @@ from plfilt import (
     EstimationModel,
     FilterState,
     PartiallyLinearFunction,
-    Permutation,
     RuleKind,
     lrkf_step,
     make_classified,
@@ -59,7 +58,7 @@ def random_episode(seed, kind, max_x):
     flow = random_function(rng, x, z_flow, z_flow, x - z_flow, with_a1)
     g_dim = int(rng.integers(1, 4))
     meas = random_function(rng, x, z_meas, g_dim, int(rng.integers(1, x + 1)), with_a1)
-    perm = Permutation(rng.permutation(x))
+    perm = rng.permutation(x)
     model = EstimationModel(
         flow=flow, q=0.1 * random_spd(rng, x, shift=1.0),
         flow_rule=make_classified(kind, x, z_flow),
@@ -70,7 +69,7 @@ def random_episode(seed, kind, max_x):
     ys = []
     for _ in range(STEPS):
         truth = flow(truth[:, None])[:, 0] + 0.3 * rng.standard_normal(x)
-        ys.append(meas(truth[perm.indices, None])[:, 0] + 0.3 * rng.standard_normal(meas.y_dim))
+        ys.append(meas(truth[perm, None])[:, 0] + 0.3 * rng.standard_normal(meas.y_dim))
     prior = FilterState(k=0, mean=rng.standard_normal(x), cov=random_spd(rng, x, shift=1.0))
     return model, prior, ys
 
