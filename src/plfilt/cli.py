@@ -178,42 +178,57 @@ class SimConfig:
             raise ValueError(f"step count must be >= 1, got {self.steps}")
 
 
+def _number(cfg: dict, key: str, kind: type):
+    """``cfg[key]`` converted by ``kind`` (``int`` or ``float``); text that
+    does not convert is refused with a ``ValueError`` naming the key."""
+    text = cfg[key]
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} = {text!r} is not {what}") from None
+
+
 def bench_config_from(cfg: dict) -> BenchConfig:
     name = cfg["bench.rule"]
     if name == "sc":
         kind = RuleKind("sc")
     elif name == "ut":
-        kind = RuleKind("ut", alpha=float(cfg["bench.ut_alpha"]), kappa=float(cfg["bench.ut_kappa"]))
+        kind = RuleKind(
+            "ut",
+            alpha=_number(cfg, "bench.ut_alpha", float),
+            kappa=_number(cfg, "bench.ut_kappa", float),
+        )
     elif name == "gh":
-        kind = RuleKind("gh", order=int(cfg["bench.gh_order"]))
+        kind = RuleKind("gh", order=_number(cfg, "bench.gh_order", int))
     else:
         raise ValueError(f"unknown rule {name!r} (expected sc, ut or gh)")
     return BenchConfig(
         kind=kind,
         dims=tuple(_parse_dims(cfg["bench.dims"])),
-        trials=int(cfg["bench.trials"]),
-        seed=int(cfg["seed"]),
+        trials=_number(cfg, "bench.trials", int),
+        seed=_number(cfg, "seed", int),
         modes=_parse_modes(cfg["bench.modes"]),
-        point_budget=int(cfg["bench.point_budget"]),
+        point_budget=_number(cfg, "bench.point_budget", int),
     )
 
 
 def sim_config_from(cfg: dict) -> SimConfig:
     singer = SingerParams(
-        dt=float(cfg["singer.dt"]),
-        tau=float(cfg["singer.tau"]),
-        sigma_m2=float(cfg["singer.sigma_m2"]),
-        agents=int(cfg["sim.agents"]),
+        dt=_number(cfg, "singer.dt", float),
+        tau=_number(cfg, "singer.tau", float),
+        sigma_m2=_number(cfg, "singer.sigma_m2", float),
+        agents=_number(cfg, "sim.agents", int),
     )
     sensor = BearingSensorParams(
-        sigma_alpha=float(cfg["sensor.sigma_alpha"]),
-        reported_cov=float(cfg["sensor.reported_var"]) * np.eye(9),
+        sigma_alpha=_number(cfg, "sensor.sigma_alpha", float),
+        reported_cov=_number(cfg, "sensor.reported_var", float) * np.eye(9),
     )
     return SimConfig(
         singer=singer,
         sensor=sensor,
-        steps=int(cfg["sim.steps"]),
-        seed=int(cfg["seed"]),
+        steps=_number(cfg, "sim.steps", int),
+        seed=_number(cfg, "seed", int),
         filters=_parse_modes(cfg["sim.filters"]),
     )
 

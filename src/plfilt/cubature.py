@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import PointBudgetExceededError
-from .linalg import _gram_form, _linear_form
+from .linalg import _gram_form, _right_form
 
 DEFAULT_POINT_BUDGET = 10_000_000
 # roundoff bound of the preconditions that classify checks, relative to a
@@ -104,11 +104,11 @@ class CubatureRule:
     def _point_form(self) -> Callable[[np.ndarray], np.ndarray]:
         """``L -> L @ points`` for a matrix ``L`` with ``dim`` columns, in
         the cheapest exact form the points admit (see
-        :func:`plfilt.linalg._linear_form`), picked on first use.  The
+        :func:`plfilt.linalg._right_form`), picked on first use.  The
         spherical and unscented points, ``c [0, I, -I]``, hold at most one
         nonzero per column, so they are a column gather and a scale;
         Gauss-Hermite grids keep the dense product."""
-        return _linear_form(self.points, right=True)
+        return _right_form(self.points)
 
     @cached_property
     def _gram_form(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -123,12 +123,12 @@ class CubatureRule:
         """``D -> D diag(weights) pointsᵀ`` for a matrix ``D`` with
         ``count`` columns: the points acting on weighted deviations, in unit
         space.  The form is picked on first use from the weighted points
-        (see :func:`plfilt.linalg._linear_form`), never from ``kind``.  When
+        (see :func:`plfilt.linalg._right_form`), never from ``kind``.  When
         the points come in pairs ``±c eₖ`` of equal weight, as the spherical
         and unscented points do, it is ``c w (D⁺ - D⁻)``, a difference of
         two column views and a scale; any other rule keeps the dense
         product."""
-        return _linear_form(self.weights[:, None] * self.points.T, right=True)
+        return _right_form(self.weights[:, None] * self.points.T)
 
 
 def spherical_rule(x: int) -> CubatureRule:

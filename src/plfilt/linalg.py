@@ -212,52 +212,16 @@ def _run(idx: np.ndarray) -> slice | None:
     return None
 
 
-def _linear_form(a: np.ndarray, right: bool = False) -> Callable[[np.ndarray], np.ndarray]:
-    """``M -> a @ M`` for a vector or a matrix ``M``, or with ``right``
-    ``M -> M @ a`` for a matrix ``M``, in the cheapest form the finite
-    matrix ``a`` admits.  The form is picked once, from ``a`` alone:
+def _left_form(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``M -> a @ M`` for a vector or a matrix ``M``, in the cheapest form
+    the finite matrix ``a`` admits, picked once, from ``a`` alone:
 
-    * on the left, when every row holds a single 1 and zeros elsewhere, a
-      row gather;
-    * on the left, when ``a`` is square and, for the smallest ``b`` dividing
-      its size that allows it, every nonzero lies in a diagonal ``b x b``
-      block, a batched product of those blocks;
-    * on the right, when every column holds at most one nonzero, a gather
-      of the columns of ``M`` those nonzeros pick, scaled by them in place
-      (a zero column of ``a`` gives a zero column).  For finite ``M`` each
-      entry is the one nonzero product of the dense sum, so the two agree
-      exactly;
-    * on the right, when every column holds exactly two nonzeros ``v`` and
-      ``-v``, and the rows of the ``v`` and of the ``-v`` each step evenly
-      from column to column, as in a mirrored point set's weighted
-      transpose, the difference of two evenly stepped views of ``M``,
-      scaled by ``v`` in place.  Each entry is rounded once in the
-      difference and once in the scale, so it agrees with the dense sum to
-      roundoff rather than exactly;
+    * when every row holds a single 1 and zeros elsewhere, a row gather;
+    * when ``a`` is square and, for the smallest ``b`` dividing its size
+      that allows it, every nonzero lies in a diagonal ``b x b`` block, a
+      batched product of those blocks;
     * the dense product otherwise.
-
-    Every right form returns a new C-ordered array, so a product formed
-    from it afterwards runs as it would on the dense product's result.
     """
-    if right:
-        cols = np.arange(a.shape[1])
-        nonzeros = np.count_nonzero(a)
-        if nonzeros == 2 * cols.size:
-            # a positive largest and a negative smallest entry of equal size
-            # in every column leave no room for other nonzeros
-            plus, minus = a.argmax(axis=0), a.argmin(axis=0)
-            vals = a[plus, cols]
-            if (vals > 0.0).all() and (a[minus, cols] == -vals).all():
-                plus, minus = _run(plus), _run(minus)
-                if plus is not None and minus is not None:
-                    return functools.partial(_paired_columns, plus, minus, vals)
-        idx = np.abs(a).argmax(axis=0)
-        vals = a[idx, cols]
-        # each column's largest entry covers all its nonzeros only when it
-        # has at most one
-        if np.count_nonzero(vals) == nonzeros:
-            return functools.partial(_scaled_columns, idx, vals)
-        return functools.partial(_matmul_right, a)
     rows, cols = np.nonzero(a)  # row-major, so one nonzero per row gives rows 0..n-1
     if np.array_equal(rows, np.arange(a.shape[0])) and (a[rows, cols] == 1.0).all():
         return functools.partial(_gathered_rows, cols)
@@ -270,6 +234,46 @@ def _linear_form(a: np.ndarray, right: bool = False) -> Callable[[np.ndarray], n
                 diag = np.arange(n)
                 return functools.partial(_block_diagonal, a.reshape(n, b, n, b)[diag, :, diag])
     return functools.partial(np.matmul, a)
+
+
+def _right_form(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``M -> M @ a`` for a matrix ``M``, in the cheapest form the finite
+    matrix ``a`` admits, picked once, from ``a`` alone:
+
+    * when every column holds at most one nonzero, a gather of the columns
+      of ``M`` those nonzeros pick, scaled by them in place (a zero column
+      of ``a`` gives a zero column).  For finite ``M`` each entry is the one
+      nonzero product of the dense sum, so the two agree exactly;
+    * when every column holds exactly two nonzeros ``v`` and ``-v``, and the
+      rows of the ``v`` and of the ``-v`` each step evenly from column to
+      column, as in a mirrored point set's weighted transpose, the
+      difference of two evenly stepped views of ``M``, scaled by ``v`` in
+      place.  Each entry is rounded once in the difference and once in the
+      scale, so it agrees with the dense sum to roundoff rather than
+      exactly;
+    * the dense product otherwise.
+
+    Every form returns a new C-ordered array, so a product formed from it
+    afterwards runs as it would on the dense product's result.
+    """
+    cols = np.arange(a.shape[1])
+    nonzeros = np.count_nonzero(a)
+    if nonzeros == 2 * cols.size:
+        # a positive largest and a negative smallest entry of equal size
+        # in every column leave no room for other nonzeros
+        plus, minus = a.argmax(axis=0), a.argmin(axis=0)
+        vals = a[plus, cols]
+        if (vals > 0.0).all() and (a[minus, cols] == -vals).all():
+            plus, minus = _run(plus), _run(minus)
+            if plus is not None and minus is not None:
+                return functools.partial(_paired_columns, plus, minus, vals)
+    idx = np.abs(a).argmax(axis=0)
+    vals = a[idx, cols]
+    # each column's largest entry covers all its nonzeros only when it has
+    # at most one
+    if np.count_nonzero(vals) == nonzeros:
+        return functools.partial(_scaled_columns, idx, vals)
+    return functools.partial(_matmul_right, a)
 
 
 def _weighted_gram(root: np.ndarray, neg: np.ndarray, neg_root: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -1,25 +1,24 @@
 """Gaussian moment matching through nonlinear functions.
 
 Every model function works column-wise: it maps a ``(dim, n)`` matrix of
-points to the matrix of their images, one column each.  Two evaluation
-routes are provided for the joint first/second moments of a Gaussian input
-and a function output:
+points to the matrix of their images, one column each.  One function,
+:func:`_sums`, forms the cubature sums: a rule's unit-space points mapped
+through a Cholesky factor ``L``, the function evaluated at all of them in
+one call, its mean and its covariance as one symmetric rank-k update (less
+a second one for negative weights).  The cross covariance ``L (Ξ W Dyᵀ)``
+is formed in unit space, where the spherical and unscented points
+``±c eₖ`` reduce it to ``c w (Dy⁺ - Dy⁻)``.  The forms are worked out once
+per rule from its points and weights.
 
-* :func:`match_full` runs the plain cubature sums, evaluating the function at
-  every integration point in one call.  Its output covariance is one
-  symmetric rank-k update (less a second one for negative weights), and its
-  cross covariance ``L (Ξ W Dyᵀ)`` is formed in unit space, where the
-  spherical and unscented points ``±c eₖ`` reduce it to ``c w (Dy⁺ - Dy⁻)``;
-  for those rules the two cost half the flops of the dense sums.  The forms
-  are worked out once per rule from its points and weights.
+* :func:`match_full` runs the sums on the full rule.
 * :func:`match_pl` exploits the structure ``y = [A1 x + g(z); A x]``
   (nonlinear in the leading ``z`` coordinates only, ``A1`` optional): with a
   lower-triangular square root, points that do not perturb the leading block
   all map to ``g`` of the input z-mean, so they act as one zero point
-  carrying their summed weight.  ``g`` is evaluated only at that point plus
-  the deduplicated nonlinear points, in one column-wise call, and only the
-  leading ``z`` columns of the Cholesky factor of the input covariance are
-  needed; the linear rows have closed-form sums.
+  carrying their summed weight.  The ``g`` block is the same sums on the
+  ``z``-dimensional rule of that point and the deduplicated nonlinear
+  points, through the leading ``z`` columns of the factor; the linear rows
+  have closed-form sums.
 """
 from __future__ import annotations
 
@@ -29,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .cubature import ClassifiedRule, CubatureRule, unique_nonlinear
-from .linalg import _linear_form, cholesky_full, cholesky_partial, mirror_lower
+from .linalg import _left_form, cholesky_full, cholesky_partial, mirror_lower
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ class PartiallyLinearFunction:
 
     The linear rows ``[A1; A]`` are applied in one of three exact forms,
     picked once here from the matrix itself by
-    :func:`plfilt.linalg._linear_form`: a row gather when every row
+    :func:`plfilt.linalg._left_form`: a row gather when every row
     holds a single 1 and zeros elsewhere; a batched product of diagonal
     ``b x b`` blocks when the matrix is square and, for the smallest ``b``
     dividing ``x_dim`` that allows it, every nonzero lies in such a block;
@@ -122,7 +121,7 @@ class PartiallyLinearFunction:
         self.a1 = a1
         self.y_dim = self.g_dim + a.shape[0]
         # M -> [A1; A] @ M, and the number of leading A1 rows folded onto g
-        self._apply = _linear_form(a if a1 is None else np.vstack((a1, a)))
+        self._apply = _left_form(a if a1 is None else np.vstack((a1, a)))
         self._n1 = 0 if a1 is None else self.g_dim
         self._g = g
         self.g_eval_count = 0
@@ -153,22 +152,13 @@ class PartiallyLinearFunction:
         return np.vstack((gz, ax[self._n1 :]))
 
 
-def _plain_sums(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule):
-    """The plain cubature sums of :func:`match_full` up to ``p_yy``.
-
-    Returns ``(m_y, p_yy, l, dy)``: the output mean, the exactly symmetric
-    output covariance, the input covariance's Cholesky factor and the
-    points' deviations from the output mean, from which :func:`match_full`
-    forms ``p_xy``.  A filter's predict reads only the first two.
-    ``p_yy = Dy W Dyᵀ`` is formed as symmetric rank-k updates
-    (:attr:`CubatureRule._gram_form`), which return it exactly symmetric.
+def _sums(f, m: np.ndarray, l: np.ndarray, rule: CubatureRule):
+    """The cubature sums of both matchers: the points of ``rule`` mapped
+    through the factor ``l`` and shifted to ``m``, ``f`` evaluated on them in
+    one call, and ``(m_y, p_yy, dy)``: the output mean, the exactly symmetric
+    output covariance ``Dy W Dyᵀ`` and the deviations ``Dy``, from which the
+    caller forms the cross covariance ``L @ rule._cross_form(dy).T``.
     """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (rule.dim,):
-        raise ValueError(f"mean shape {m.shape} does not match rule dimension {rule.dim}")
-    l = cholesky_full(p)
-    if l.shape[0] != rule.dim:
-        raise ValueError("covariance dimension does not match rule dimension")
     xpts = rule._point_form(l)  # a new array: the points' deviations, shifted in place
     xpts += m[:, None]
     ypts = np.asarray(f(xpts), dtype=float)
@@ -179,7 +169,25 @@ def _plain_sums(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule):
         )
     m_y = ypts @ rule.weights
     dy = ypts - m_y[:, None]
-    p_yy = rule._gram_form(dy)
+    return m_y, rule._gram_form(dy), dy
+
+
+def _plain_sums(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule):
+    """The plain cubature sums of :func:`match_full` up to ``p_yy``:
+    :func:`_sums` on the full factor.
+
+    Returns ``(m_y, p_yy, l, dy)``: the output mean, the exactly symmetric
+    output covariance, the input covariance's Cholesky factor and the
+    points' deviations from the output mean, from which :func:`match_full`
+    forms ``p_xy``.  A filter's predict reads only the first two.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.shape != (rule.dim,):
+        raise ValueError(f"mean shape {m.shape} does not match rule dimension {rule.dim}")
+    l = cholesky_full(p)
+    if l.shape[0] != rule.dim:
+        raise ValueError("covariance dimension does not match rule dimension")
+    m_y, p_yy, dy = _sums(f, m, l, rule)
     return m_y, p_yy, l, dy
 
 
@@ -193,19 +201,14 @@ def match_full(f, m: np.ndarray, p: np.ndarray, rule: CubatureRule) -> JointGaus
     Cholesky factor ``L`` maps the unit-space points into state space, so the
     points depend on the coordinate order of ``m`` and ``p``.  In the order
     :func:`match_pl` gets (nonlinear coordinates first) both use the same
-    factor and agree up to roundoff.  ``L`` times the points is applied in
-    the form the rule picked for them (:attr:`CubatureRule._point_form`): a
-    column gather and a scale for the spherical and unscented points, the
-    dense product otherwise.  The output covariance is a rank-k update
-    (see :func:`_plain_sums`), and as from :func:`match_pl` the returned
-    ``p_yy`` is exactly symmetric.  The cross covariance is formed in unit
-    space, ``p_xy = L (Ξ W Dyᵀ)``: the points act on the weighted output
-    deviations in the form the rule picked (:attr:`CubatureRule._cross_form`),
-    ``c w (Dy⁺ - Dy⁻)`` for points ``±c eₖ``, and one product with ``L``
-    maps the result into state space, at half the dense sum's flops for
-    those rules.  It is a numpy product and not a triangular ``dtrmm``:
-    scipy's BLAS is a second OpenBLAS with its own threads, and, unpinned,
-    handing work from numpy's to it costs milliseconds on a two-core host.
+    factor and agree up to roundoff.  The sums are :func:`_sums`, with ``L``
+    applied to the points in the form the rule picked
+    (:attr:`CubatureRule._point_form`), and the returned ``p_yy`` is exactly
+    symmetric.  The cross covariance ``p_xy = L (Ξ W Dyᵀ)`` is formed in
+    unit space (:attr:`CubatureRule._cross_form`) and mapped by one product
+    with ``L``: a numpy product and not a triangular ``dtrmm``, since scipy's
+    BLAS is a second OpenBLAS with its own threads, and, unpinned, handing
+    work from numpy's to it costs milliseconds on a two-core host.
     """
     m_y, p_yy, l, dy = _plain_sums(f, m, p, rule)
     p_xy = l @ rule._cross_form(dy).T
@@ -224,12 +227,14 @@ def _structured_sums(
     p: np.ndarray,
     cr: ClassifiedRule,
 ):
-    """The structured sums of :func:`match_pl` up to ``p_yy``.
+    """The structured sums of :func:`match_pl` up to ``p_yy``: :func:`_sums`
+    on the reduced ``z``-dimensional rule for the ``g`` block, and the
+    closed-form linear sums.
 
     Returns ``(m_y, p_yy, p_xg, p_at)``: the output mean, the exactly
-    symmetric output covariance, the nonlinear block ``(l_xi w) dgᵀ`` of the
-    cross covariance and ``P [A1; A]ᵀ``, from which :func:`match_pl` forms
-    ``p_xy``.  A filter's predict reads only the first two.
+    symmetric output covariance, the nonlinear block ``L[:, :z] (Ξ W Dgᵀ)``
+    of the cross covariance and ``P [A1; A]ᵀ``, from which :func:`match_pl`
+    forms ``p_xy``.  A filter's predict reads only the first two.
     """
     if plf.x_dim != cr.dim:
         raise ValueError(f"function x_dim {plf.x_dim} does not match rule dimension {cr.dim}")
@@ -244,16 +249,9 @@ def _structured_sums(
     # a trace of it sees each match; the stacked set is built once per rule
     unique_nonlinear(cr)
     pts = cr._zero_and_unique
-    w = pts.weights
-    # trailing coordinates are zero in every column, so the first z columns
-    # of the Cholesky factor map the points into state space
-    l_xi = pts._point_form(cholesky_partial(p, z).column_block())  # (X, 1 + n), column 0 zero
-    g_all = plf.eval_g_batch(m[:z, None] + l_xi[:z])
-    m_g = g_all @ w
-    dg = g_all - m_g[:, None]
-    dg_w = dg * w
-    p_gg = dg_w @ dg.T
-    p_xg = l_xi @ dg_w.T  # the nonlinear block of p_xy, (X, G)
+    cols = cholesky_partial(p, z).column_block()
+    m_g, p_gg, dg = _sums(plf.eval_g_batch, m[:z], cols[:z], pts)
+    p_xg = cols @ pts._cross_form(dg).T  # the nonlinear block of p_xy, (X, G)
 
     apply = plf._apply
     n1 = plf._n1  # rows of A1, folded onto the g block
@@ -293,22 +291,23 @@ def match_pl(
 ) -> JointGaussian:
     """Structured moment matching for ``y = [A1 x + g(z); A x]``.
 
-    The sums run on one weighted point set in unit space: column 0 is the
-    zero point, standing for every central and linear point (they all map to
-    the input z-mean) with their summed weight ``cr.w_cl``, and the other
-    columns are the nonlinear points grouped by leading block.  The set
-    and its weights are built once per rule
-    (:attr:`ClassifiedRule._zero_and_unique`), and the leading ``z``
-    columns of the input covariance's Cholesky factor, the only ones
-    needed, map it into state space in the form the set picked
-    (:attr:`CubatureRule._point_form`).  ``g`` is evaluated once per
-    column, ``1 + n`` times in one call.  The closed-form linear sums run on the
-    stacked rows ``[A1; A]``, in the form the function picked for them; the
-    ``A1`` block is then folded onto the ``g`` block.  ``P Aᵀ`` is formed
-    as ``(A P)ᵀ``, which relies on the input covariance being symmetric.
-    The returned ``p_yy`` is exactly symmetric (its lower blocks mirrored).
-    The sums up to ``p_yy`` are :func:`_structured_sums`, which a filter's
-    predict calls alone; this adds the cross covariance ``p_xy``.
+    The ``g`` block is :func:`_sums` on a ``z``-dimensional rule built once
+    per rule (:attr:`ClassifiedRule._zero_and_unique`): column 0 is the zero
+    point, standing for every central and linear point (they all map to the
+    input z-mean) with their summed weight ``cr.w_cl``, and the other
+    columns are the nonlinear points grouped by leading block.  The leading
+    ``z`` columns of the input covariance's Cholesky factor map it; their
+    leading rows are the z-block's own factor, so ``g``'s mean and
+    covariance are those of ``match_full(plf.eval_g_batch, m[:z], p[:z, :z],
+    cr._zero_and_unique)``, and all their rows give the cross covariance's
+    nonlinear block.  ``g`` is evaluated ``1 + n`` times, in one call.  The
+    closed-form linear sums run on the stacked rows ``[A1; A]``, in the form
+    the function picked for them; the ``A1`` block is then folded onto the
+    ``g`` block.  ``P Aᵀ`` is formed as ``(A P)ᵀ``, which relies on the input
+    covariance being symmetric.  The returned ``p_yy`` is exactly symmetric
+    (its lower blocks mirrored).  The sums up to ``p_yy`` are
+    :func:`_structured_sums`, which a filter's predict calls alone; this
+    adds the cross covariance ``p_xy``.
     """
     m_y, p_yy, p_xg, p_at = _structured_sums(plf, m, p, cr)
     n1 = plf._n1

@@ -344,12 +344,19 @@ class TestMain:
             (["bench", "--dims", "2x3", "--dims", "4"], "dims entry '4' is not of the form ZxL"),
             (["bench", "--config", "bad.cfg"], "bad.cfg:1: expected 'key = value', got 'trials\\n'"),
             (["sim", "--config", "missing.cfg"], "No such file or directory: 'missing.cfg'"),
+            (["bench", "--config", "trials.cfg"], "bench.trials = 'abc' is not an integer"),
+            (["sim", "--config", "agents.cfg"], "sim.agents = '2.5' is not an integer"),
         ],
-        ids=["agents", "steps", "trials", "dims-3x", "dims-4", "config-line", "config-missing"],
+        ids=[
+            "agents", "steps", "trials", "dims-3x", "dims-4", "config-line", "config-missing",
+            "config-trials", "config-agents",
+        ],
     )
     def test_bad_setting_is_a_usage_error(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.cfg").write_text("trials\n")
+        (tmp_path / "trials.cfg").write_text("bench.trials = abc\n")
+        (tmp_path / "agents.cfg").write_text("sim.agents = 2.5\n")
         with pytest.raises(SystemExit) as exited:
             main(argv)
         assert exited.value.code == 2

@@ -15,7 +15,7 @@ from plfilt import (
     permute_moments,
     spherical_rule,
 )
-from plfilt.linalg import _linear_form
+from plfilt.linalg import _right_form
 from conftest import random_spd
 
 
@@ -289,7 +289,7 @@ def _paired(rng, n, order):
 
 
 class TestRightLinearForm:
-    """``_linear_form(a, right=True)`` picks the form of ``M -> M @ a``."""
+    """``_right_form(a)`` picks the form of ``M -> M @ a``."""
 
     CASES = {
         "one-per-column": (lambda rng: _one_per_column(rng, 60, 90), "_scaled_columns"),
@@ -308,7 +308,7 @@ class TestRightLinearForm:
     def test_form_equals_dense_product(self, rng, case, rows):
         build, name = self.CASES[case]
         a = build(rng)
-        form = _linear_form(a, right=True)
+        form = _right_form(a)
         assert form.func.__name__ == name
         m = np.tril(rng.standard_normal((rows, a.shape[0])))  # exact zeros, as a factor has
         out = form(m)
@@ -327,7 +327,7 @@ class TestRightLinearForm:
         dense product to one rounding each in the difference and the
         scale."""
         a = _paired(rng, 30, order)
-        form = _linear_form(a, right=True)
+        form = _right_form(a)
         assert form.func.__name__ == "_paired_columns"
         m = rng.standard_normal((rows, 60))
         out = form(m)
@@ -340,4 +340,4 @@ class TestRightLinearForm:
         a = _paired(rng, 30, rng.permutation(60) if case == "shuffled" else np.arange(60))
         if case != "shuffled":
             a[33, 3] = (-1.5 if case == "unequal" else 1.0) * a[3, 3]
-        assert _linear_form(a, right=True).func.__name__ == "_matmul_right"
+        assert _right_form(a).func.__name__ == "_matmul_right"

@@ -316,6 +316,7 @@ class TestPointForms:
         "pl-sc-60-20": (lambda: _pl_set(spherical_rule(60), 20), "_scaled_columns"),
         "pl-sc-60-50": (lambda: _pl_set(spherical_rule(60), 50), "_scaled_columns"),
         "pl-ut-60-50": (lambda: _pl_set(unscented_rule(60, 1.0, 2.0), 50), "_scaled_columns"),
+        "pl-gh3-4-2": (lambda: _pl_set(gauss_hermite_rule(4, 3), 2), "_matmul_right"),
     }
     FULL = [case for case in CASES if not case.startswith("pl-")]
 
@@ -361,6 +362,11 @@ class TestPointForms:
             ("ut-27-neg", "_paired_columns"),
             ("gh3", "_matmul_right"),
             ("asymmetric", "_matmul_right"),
+            # match_pl's sets: the sc/ut pairs' plus rows run downwards
+            ("pl-sc-60-20", "_paired_columns"),
+            ("pl-sc-60-50", "_paired_columns"),
+            ("pl-ut-60-50", "_paired_columns"),
+            ("pl-gh3-4-2", "_matmul_right"),
         ],
     )
     def test_sum_forms_follow_the_points(self, rng, case, cross):
@@ -459,6 +465,26 @@ class TestMatchPl:
                 b_blk = getattr(jp, block)
                 tol = 1e-9 * (1.0 + np.abs(a_blk).max())
                 assert np.abs(a_blk - b_blk).max() <= tol, (kind, dims, block)
+
+    @pytest.mark.parametrize("kind", ["sc", "ut_05_3", "gh3"])
+    @pytest.mark.parametrize("dims", [(1, 4), (2, 3), (3, 5)])
+    def test_g_block_is_match_full_on_the_reduced_rule(self, rng, kind, dims):
+        """The ``g`` block is the plain sums on the ``z``-dimensional rule of
+        the zero point and the grouped nonlinear points, through the
+        z-block's own factor: mean and covariance bit for bit, and the
+        cross covariance's leading rows to roundoff (the product with all
+        ``X`` rows of the factor may round them otherwise)."""
+        z, l = dims
+        plf = benchmark_function(z, l, 3000 + 10 * z + l)
+        cr = classify(make_rule(RULES[kind], z + l), z)
+        g = plf.g_dim
+        for _ in range(5):
+            m, p = trial_moments(rng, z + l)
+            jp = match_pl(plf, m, p, cr)
+            jf = match_full(plf.eval_g_batch, m[:z], p[:z, :z], cr._zero_and_unique)
+            assert np.array_equal(jp.m_y[:g], jf.m_y)
+            assert np.array_equal(jp.p_yy[:g, :g], jf.p_yy)
+            assert np.abs(jp.p_xy[:z, :g] - jf.p_xy).max() <= 1e-15 * np.abs(jf.p_xy).max()
 
     @pytest.mark.parametrize("kind", ["sc", "ut_1_2", "gh2", "gh3"])
     def test_pyy_near_positive_semidefinite(self, kind):
