@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 from scipy.linalg import solve_triangular
 
-from .cubature import DEFAULT_POINT_BUDGET, RuleKind, make_classified, make_rule
+from .cubature import DEFAULT_POINT_BUDGET, RuleKind, classify, make_classified, make_rule
 from .errors import PointBudgetExceededError
 from .filters import FilterState, lrkf_step, pl_lrkf_step
 from .linalg import cholesky_full
@@ -282,7 +282,13 @@ def _bench_row(cfg: BenchConfig, row: int, z: int, l: int):
         except PointBudgetExceededError:
             status = "full-budget-exceeded"
     if "pl" in cfg.modes:
-        runs["pl"] = (match_pl, make_classified(cfg.kind, x, z, cfg.point_budget))
+        # the full rule, when built, is classified rather than built again
+        cr = (
+            classify(runs["full"][1], z)
+            if "full" in runs
+            else make_classified(cfg.kind, x, z, cfg.point_budget)
+        )
+        runs["pl"] = (match_pl, cr)
 
     m_w, p_w = _trial_inputs(cfg.seed, row, cfg.trials, x)  # warm-up inputs
     evals = {}

@@ -95,10 +95,21 @@ class CubatureRule:
     @cached_property
     def moment_deviations(self) -> tuple[float, float]:
         """Deviations of the weight sum from 1 and of the second moment from
-        ``I``, computed on first use."""
-        w = self.weights
-        second = (self.points * w) @ self.points.T
-        return abs(float(w.sum()) - 1.0), float(np.abs(second - np.eye(self.dim)).max())
+        ``I``, computed on first use.  A rule of at most ``2 dim + 1``
+        points, as the spherical and unscented rules are, reads the second
+        moment ``Ξ W Ξᵀ`` off its own :attr:`_cross_form` applied to its
+        points: for their paired points O(dim * count), a column difference
+        and a scale, and the form is the one the sums use.  A larger rule,
+        a Gauss-Hermite grid among them, pays the dense product and builds
+        no form, so a rule that is only classified keeps no weighted copy
+        of its points."""
+        pts = self.points
+        if self.count <= 2 * self.dim + 1:
+            second = self._cross_form(pts)
+        else:
+            second = (pts * self.weights) @ pts.T
+        second.flat[:: self.dim + 1] -= 1.0
+        return abs(float(self.weights.sum()) - 1.0), float(np.abs(second).max())
 
     @cached_property
     def _point_form(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -131,16 +142,30 @@ class CubatureRule:
         return _right_form(self.weights[:, None] * self.points.T)
 
 
+def _paired_points(x: int, lead: int, c: float) -> np.ndarray:
+    """``c [0, I, -I]`` with ``lead`` zero columns first: ``c`` and ``-c``
+    written on two diagonals of a zeroed ``(x, lead + 2x)`` matrix, so no
+    entry is ``-0.0``."""
+    points = np.zeros((x, lead + 2 * x))
+    diag = np.arange(x)
+    points[diag, lead + diag] = c
+    points[diag, lead + x + diag] = -c
+    return points
+
+
 def spherical_rule(x: int) -> CubatureRule:
     """Third-degree spherical cubature: 2X points ``sqrt(X) * [I, -I]``,
-    all weights ``1/(2X)``.  There is no central point."""
+    all weights ``1/(2X)``.  There is no central point.  The points are
+    written straight into a zeroed matrix, O(X²) work with no ``-0.0``
+    entry; the rule's moment check then costs O(X²) as well (see
+    :attr:`CubatureRule.moment_deviations`)."""
     x = int(x)
     if x < 1:
         raise ValueError(f"dimension must be >= 1, got {x}")
-    eye = np.eye(x)
-    points = np.sqrt(x) * np.hstack((eye, -eye)) + 0.0  # +0.0 normalizes -0.0 entries
     weights = np.full(2 * x, 1.0 / (2 * x))
-    return CubatureRule(dim=x, weights=weights, points=points, kind=RuleKind("sc"))
+    return CubatureRule(
+        dim=x, weights=weights, points=_paired_points(x, 0, np.sqrt(x)), kind=RuleKind("sc")
+    )
 
 
 def unscented_rule(x: int, alpha: float, kappa: float) -> CubatureRule:
@@ -159,13 +184,11 @@ def unscented_rule(x: int, alpha: float, kappa: float) -> CubatureRule:
         raise ValueError(f"kappa must be positive, got {kappa}")
     lam = alpha**2 * (x + kappa) - x
     denom = lam + x  # = alpha^2 (x + kappa) > 0
-    eye = np.eye(x)
-    points = np.sqrt(denom) * np.hstack((np.zeros((x, 1)), eye, -eye)) + 0.0
     weights = np.concatenate(([lam / denom], np.full(2 * x, 0.5 / denom)))
     return CubatureRule(
         dim=x,
         weights=weights,
-        points=points,
+        points=_paired_points(x, 1, np.sqrt(denom)),
         kind=RuleKind("ut", alpha=float(alpha), kappa=float(kappa)),
     )
 
@@ -294,21 +317,31 @@ def classify(rule: CubatureRule, z: int) -> ClassifiedRule:
     whose weight sum deviates from 1, or whose second moment deviates from
     ``I``, by more than ``PRECONDITION_RTOL`` times its squared largest
     coordinate times its absolute weight sum is refused as well; those two
-    deviations are computed once per rule and cached on it.
+    deviations are computed once per rule and cached on it, for the
+    spherical and unscented rules from the rule's cached cross form (see
+    :attr:`CubatureRule.moment_deviations`), so on their paired points the
+    moment check costs O(dim * count).  The grouping sums
+    gather and weight only the trailing rows; the leading-block total is
+    one product with the weights.
     """
     z = int(z)
     if not 1 <= z <= rule.dim:
         raise ValueError(f"z must be in 1..{rule.dim}, got {z}")
     w = rule.weights
-    zb = rule.points[:z] + 0.0  # +0.0 collapses -0.0 into 0.0
+    pts = rule.points
+    zb = pts[:z] + 0.0  # +0.0 collapses -0.0 into 0.0
     order = np.lexsort(zb[::-1])  # row 0 is the primary key
     zb = zb[:, order]
     starts = np.flatnonzero(np.r_[True, (zb[:, 1:] != zb[:, :-1]).any(axis=0)])
     w_sorted = w[order]
     group_w = np.add.reduceat(w_sorted, starts)
-    sums = np.add.reduceat(rule.points[:, order] * w_sorted, starts, axis=1)
-    dev = max(np.abs(sums[z:]).max(initial=0.0), np.abs(sums[:z].sum(axis=1)).max())
-    xi_max = np.abs(rule.points).max()
+    # the trailing rows gathered into a new array, weighted in place and
+    # summed by group; the name is rebound so the gather is freed at once
+    sums = pts[z:, order]
+    sums *= w_sorted
+    sums = np.add.reduceat(sums, starts, axis=1)
+    dev = max(np.abs(sums).max(initial=0.0), np.abs(pts[:z] @ w).max())
+    xi_max = max(pts.max(), -pts.min())
     scale = xi_max * np.abs(w).sum()
     if not dev <= PRECONDITION_RTOL * scale:
         raise ValueError(
@@ -327,7 +360,7 @@ def classify(rule: CubatureRule, z: int) -> ClassifiedRule:
     heads = zb[:, starts]
     zero = ~heads.any(axis=0)
     n_cl = int(np.diff(np.r_[starts, w.size])[zero].sum())
-    n_c = int((~rule.points.any(axis=0)).sum())
+    n_c = int((~pts.any(axis=0)).sum())
     return ClassifiedRule(
         kind=rule.kind,
         dim=rule.dim,

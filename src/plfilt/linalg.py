@@ -222,7 +222,9 @@ def _left_form(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
       batched product of those blocks;
     * the dense product otherwise.
     """
-    rows, cols = np.nonzero(a)  # row-major, so one nonzero per row gives rows 0..n-1
+    # row-major, so one nonzero per row gives rows 0..n-1; numpy finds the
+    # nonzeros of a boolean mask faster than those of the floats
+    rows, cols = np.nonzero(a != 0)
     if np.array_equal(rows, np.arange(a.shape[0])) and (a[rows, cols] == 1.0).all():
         return functools.partial(_gathered_rows, cols)
     x = a.shape[1]
@@ -254,10 +256,17 @@ def _right_form(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     * the dense product otherwise.
 
     Every form returns a new C-ordered array, so a product formed from it
-    afterwards runs as it would on the dense product's result.
+    afterwards runs as it would on the dense product's result.  Picking
+    takes a few passes over ``a``, with no temporary wider than one boolean
+    mask of its nonzeros: their count, each column's first nonzero and,
+    for the pairs, each column's largest and smallest entry.  A rule's moment
+    check reads its cross form (see
+    :attr:`plfilt.cubature.CubatureRule.moment_deviations`), so for paired
+    points that check costs O(dim * count) in all.
     """
     cols = np.arange(a.shape[1])
-    nonzeros = np.count_nonzero(a)
+    nonzero = a != 0
+    nonzeros = np.count_nonzero(nonzero)
     if nonzeros == 2 * cols.size:
         # a positive largest and a negative smallest entry of equal size
         # in every column leave no room for other nonzeros
@@ -267,9 +276,9 @@ def _right_form(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
             plus, minus = _run(plus), _run(minus)
             if plus is not None and minus is not None:
                 return functools.partial(_paired_columns, plus, minus, vals)
-    idx = np.abs(a).argmax(axis=0)
+    idx = nonzero.argmax(axis=0)  # a column's first nonzero, else row 0
     vals = a[idx, cols]
-    # each column's largest entry covers all its nonzeros only when it has
+    # each column's first nonzero covers all its nonzeros only when it has
     # at most one
     if np.count_nonzero(vals) == nonzeros:
         return functools.partial(_scaled_columns, idx, vals)

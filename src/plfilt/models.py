@@ -163,8 +163,19 @@ def singer_model(params: SingerParams):
     eye3 = np.eye(3)
     a_agent = np.kron(a3, eye3)
     q_agent = np.kron(q3, eye3)
-    eye_n = np.eye(params.agents)
-    return np.kron(eye_n, a_agent), np.kron(eye_n, q_agent)
+    n = params.agents
+    return _block_diagonal_matrix(n, a_agent), _block_diagonal_matrix(n, q_agent)
+
+
+def _block_diagonal_matrix(n: int, block: np.ndarray) -> np.ndarray:
+    """``np.kron(np.eye(n), block)`` for a square ``block``: ``n`` copies
+    of it written on the diagonal of a zeroed matrix, where the Kronecker
+    product forms every entry as a product and copies it again."""
+    b = block.shape[0]
+    out = np.zeros((n * b, n * b))
+    diag = np.arange(n)
+    out.reshape(n, b, n, b)[diag, :, diag] = block
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +282,9 @@ def fusion_model(singer: SingerParams, sensor: BearingSensorParams) -> Estimatio
     )
 
     order = position_front_permutation(n)
-    unscramble = np.eye(x_dim)[:, order]  # maps the gathered state back
+    # maps the gathered state back: column j is the identity's column order[j]
+    unscramble = np.zeros((x_dim, x_dim))
+    unscramble[order, np.arange(x_dim)] = 1.0
     measurement = PartiallyLinearFunction(
         z_dim=3 * n,
         x_dim=x_dim,
@@ -281,7 +294,7 @@ def fusion_model(singer: SingerParams, sensor: BearingSensorParams) -> Estimatio
     )
 
     r_alpha = sensor.sigma_alpha**2 * np.eye(2 * n)
-    r_x = np.kron(np.eye(n), sensor.reported_cov)
+    r_x = _block_diagonal_matrix(n, sensor.reported_cov)
     y_dim = 2 * n + x_dim
     r = np.zeros((y_dim, y_dim))
     r[: 2 * n, : 2 * n] = r_alpha
@@ -397,7 +410,7 @@ def simulate_tracking(
             reported[block] += l_rep @ rng.standard_normal(9)
         measurements[k, 2 * n :] = reported
 
-    init_cov = np.kron(np.eye(n), sensor.reported_cov)
+    init_cov = _block_diagonal_matrix(n, sensor.reported_cov)
     init_mean = x0.copy()
     for i in range(n):
         block = slice(9 * i, 9 * (i + 1))

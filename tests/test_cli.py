@@ -18,6 +18,7 @@ from plfilt import (
     pl_lrkf_step,
     simulate_tracking,
 )
+from plfilt import cubature
 from plfilt.cli import (
     DEFAULTS,
     _build_parser,
@@ -141,6 +142,16 @@ class TestBench:
         assert int(row["evals_pl"]) == 7
         for col in ("delta_m_y", "delta_p_xy", "delta_p_yy"):
             assert float(row[col]) <= 1e-7  # absolute norms on O(1e3) moments
+
+    def test_two_mode_row_builds_its_rule_once(self, monkeypatch):
+        # the structured mode classifies the full mode's rule rather than
+        # building the same full-dimension rule a second time
+        built = []
+        build = cubature.spherical_rule
+        monkeypatch.setattr(cubature, "spherical_rule", lambda x: built.append(x) or build(x))
+        _, header, rows = self._run({"bench.rule": "sc", "bench.dims": "2x3", "bench.trials": "2"})
+        assert dict(zip(header, map(str, rows[0])))["status"] == "ok"
+        assert built == [5]
 
     def test_full_only_mode(self):
         _, header, rows = self._run(

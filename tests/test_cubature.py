@@ -91,6 +91,46 @@ class TestUnscented:
         assert rule.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def _stacked_points(x, lead, c):
+    """``c [0, I, -I]`` with ``lead`` zero columns, built from ``eye`` and
+    ``hstack`` as the spherical and unscented rules once built them."""
+    eye = np.eye(x)
+    return c * np.hstack((np.zeros((x, lead)), eye, -eye)) + 0.0
+
+
+class TestPairedConstruction:
+    """The spherical and unscented points, written into a zeroed matrix,
+    equal the ``eye``/``hstack`` construction bit for bit, with no
+    ``-0.0``."""
+
+    @staticmethod
+    def assert_no_negative_zero(points):
+        assert not np.signbit(points[points == 0.0]).any()
+
+    def test_spherical(self):
+        for x in range(1, 51):
+            rule = spherical_rule(x)
+            assert np.array_equal(rule.points, _stacked_points(x, 0, np.sqrt(x)))
+            assert np.array_equal(rule.weights, np.full(2 * x, 1.0 / (2 * x)))
+            self.assert_no_negative_zero(rule.points)
+
+    @pytest.mark.parametrize(
+        "alpha, kappa, centre_sign",
+        [(1.0, 2.0, 1.0), (0.5, 3.0, -1.0)],  # alpha = 0.5: lambda < 0 from x = 2
+        ids=["positive-centre", "negative-centre"],
+    )
+    def test_unscented(self, alpha, kappa, centre_sign):
+        assert np.sign(unscented_rule(50, alpha, kappa).weights[0]) == centre_sign
+        for x in range(1, 51):
+            rule = unscented_rule(x, alpha, kappa)
+            lam = alpha**2 * (x + kappa) - x
+            denom = lam + x
+            assert np.array_equal(rule.points, _stacked_points(x, 1, np.sqrt(denom)))
+            weights = np.concatenate(([lam / denom], np.full(2 * x, 0.5 / denom)))
+            assert np.array_equal(rule.weights, weights)
+            self.assert_no_negative_zero(rule.points)
+
+
 class TestHermite1d:
     def test_order_1(self):
         roots, weights = hermite_1d(1)
@@ -347,6 +387,16 @@ class TestGroupingPrecondition:
             for block in ("m_y", "p_xy", "p_yy"):
                 assert np.abs(getattr(jf, block) - getattr(jp, block)).max() <= 1e-12
 
+    @staticmethod
+    def scaled_rule(weight_scale, point_scale):
+        base = spherical_rule(5)
+        return CubatureRule(
+            dim=5,
+            weights=weight_scale * base.weights,
+            points=point_scale * base.points,
+            kind=base.kind,
+        )
+
     @pytest.mark.parametrize(
         "weight_scale, point_scale",
         [(0.5, np.sqrt(2.0)), (1.0, 1.1)],
@@ -356,15 +406,42 @@ class TestGroupingPrecondition:
         # symmetric and grouped correctly, but the weight sum (0.5) or the
         # second moment (1.21 I) is off, which the closed-form linear sums
         # of match_pl cannot see
-        base = spherical_rule(5)
-        rule = CubatureRule(
-            dim=5,
-            weights=weight_scale * base.weights,
-            points=point_scale * base.points,
-            kind=base.kind,
-        )
         with pytest.raises(ValueError, match="moment precondition"):
-            classify(rule, 2)
+            classify(self.scaled_rule(weight_scale, point_scale), 2)
+
+    RULES = {
+        "sc-1": lambda: spherical_rule(1),
+        "sc-40": lambda: spherical_rule(40),
+        "ut-13": lambda: unscented_rule(13, 1.0, 2.0),
+        "ut-13-negative-centre": lambda: unscented_rule(13, 0.5, 3.0),
+        "gh3-4": lambda: gauss_hermite_rule(4, 3),
+        "roadmap": lambda: TestGroupingPrecondition.roadmap_rule(),
+        "asymmetric": lambda: TestGroupingPrecondition.asymmetric_rule(),
+        "half-weights": lambda: TestGroupingPrecondition.scaled_rule(0.5, np.sqrt(2.0)),
+        "scaled-points": lambda: TestGroupingPrecondition.scaled_rule(1.0, 1.1),
+    }
+
+    @pytest.mark.parametrize("name", list(RULES))
+    def test_moment_deviations_match_dense_product(self, name):
+        # the check reads the rule's cross form; it agrees with the dense
+        # Xi W Xi^T to roundoff on paired and unpaired points alike
+        rule = self.RULES[name]()
+        w, pts = rule.weights, rule.points
+        second = (pts * w) @ pts.T
+        dense = (abs(float(w.sum()) - 1.0), float(np.abs(second - np.eye(rule.dim)).max()))
+        assert np.abs(np.subtract(rule.moment_deviations, dense)).max() <= 1e-15
+
+    @pytest.mark.parametrize(
+        "rule, builds_form",
+        [(spherical_rule(8), True), (unscented_rule(8, 1.0, 2.0), True), (gauss_hermite_rule(4, 3), False)],
+        ids=["sc", "ut", "gh3"],
+    )
+    def test_moment_check_builds_cross_form_only_for_small_rules(self, rule, builds_form):
+        # a grid larger than 2 dim + 1 points keeps no weighted copy of its
+        # points after it is classified; the spherical and unscented rules
+        # share the form with the sums
+        classify(rule, 2)
+        assert ("_cross_form" in vars(rule)) == builds_form
 
     def test_moments_computed_once_per_rule(self, monkeypatch):
         # fusion_model classifies one rule for two values of z; the X x X

@@ -270,11 +270,21 @@ def _one_per_column(rng, inner, n, zero_cols=()):
     return a
 
 
-def _two_in_column_4(a):
-    """``a`` with exactly two nonzeros in column 4, the smallest excess
-    the right form's check must see."""
+def _two_in_column_4(a, vals=(1.5, -2.0)):
+    """``a`` with exactly two nonzeros ``vals`` in column 4, the smallest
+    excess the right form's check must see."""
     a[:, 4] = 0.0
-    a[[3, 5], 4] = (1.5, -2.0)
+    a[[3, 5], 4] = vals
+    return a
+
+
+def _zero_and_row_0_columns(rng):
+    """One nonzero per column, in row 0 for column 3 and none in columns
+    0 and 7: the first nonzero of a column and of a zero column are both
+    found in row 0."""
+    a = _one_per_column(rng, 60, 30, (0, 7))
+    a[:, 3] = 0.0
+    a[0, 3] = -2.5
     return a
 
 
@@ -294,12 +304,17 @@ class TestRightLinearForm:
     CASES = {
         "one-per-column": (lambda rng: _one_per_column(rng, 60, 90), "_scaled_columns"),
         "zero-columns": (lambda rng: _one_per_column(rng, 60, 30, (0, 7)), "_scaled_columns"),
+        "zero-and-row-0-columns": (_zero_and_row_0_columns, "_scaled_columns"),
         "small": (lambda rng: _one_per_column(rng, 9, 9), "_scaled_columns"),
         "full-column": (
             lambda rng: np.where(np.arange(30) == 5, 1.0, _one_per_column(rng, 60, 30)),
             "_matmul_right",
         ),
         "two-in-a-column": (lambda rng: _two_in_column_4(_one_per_column(rng, 60, 30)), "_matmul_right"),
+        "two-same-sign-in-a-column": (
+            lambda rng: _two_in_column_4(_one_per_column(rng, 60, 30), (1.5, 2.0)),
+            "_matmul_right",
+        ),
         "dense": (lambda rng: rng.standard_normal((60, 20)), "_matmul_right"),
     }
 

@@ -18,6 +18,7 @@ from plfilt import (
     stacked_bearings,
     stacked_bearings_batch,
 )
+from plfilt.models import _block_diagonal_matrix
 
 
 def axis_blocks(params):
@@ -28,6 +29,11 @@ def axis_blocks(params):
 
 
 class TestSingerModel:
+    @pytest.mark.parametrize("n", [1, 3, 30])
+    def test_block_diagonal_is_kron_with_identity(self, rng, n):
+        block = rng.standard_normal((9, 9))
+        assert np.array_equal(_block_diagonal_matrix(n, block), np.kron(np.eye(n), block))
+
     def test_constant_acceleration_limit(self):
         dt = 0.1
         a3, _ = axis_blocks(SingerParams(dt=dt, tau=1e9, sigma_m2=1.0))
